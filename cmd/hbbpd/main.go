@@ -319,16 +319,21 @@ func saveSeries(s *hbbp.FleetServer, st hbbp.FleetServerStats, dir string, stder
 	return nil
 }
 
-// safeName maps a tenant name to a filesystem-safe file stem.
+// safeName maps a tenant name to a filesystem-safe file stem, one to
+// one: bytes in [A-Za-z0-9.-] pass through and every other byte, '_'
+// included, becomes '_' plus two hex digits. Distinct tenants such as
+// "a/b" and "a_b" therefore never share a file.
 func safeName(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
-			return r
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '.':
+			b.WriteByte(c)
 		default:
-			return '_'
+			fmt.Fprintf(&b, "_%02x", c)
 		}
-	}, s)
+	}
+	return b.String()
 }
 
 // writeProfileAtomic stores a profile at path via a same-directory

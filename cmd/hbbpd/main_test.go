@@ -108,7 +108,7 @@ func TestDaemonIngestAndGracefulExit(t *testing.T) {
 	}
 
 	out := stdout.String()
-	if !strings.Contains(out, "tenant acme: merged=4 batches=0 duplicates=0 shed=0 rejected=0 corrupt=0 epochs=1") {
+	if !strings.Contains(out, "tenant acme: merged=4 batches=4 duplicates=0 shed=0 rejected=0 corrupt=0 epochs=1") {
 		t.Errorf("final summary wrong:\n%s", out)
 	}
 	if !strings.Contains(stderr.String(), "draining in-flight ingests") {
@@ -145,6 +145,70 @@ func TestDaemonIngestAndGracefulExit(t *testing.T) {
 		if strings.HasPrefix(e.Name(), ".hbbprof-") {
 			t.Errorf("atomic write left temp file %s", e.Name())
 		}
+	}
+}
+
+// TestDaemonSaveDirKeepsTenantsApart pins that tenant names which
+// differ only in bytes a file name cannot hold still save to distinct
+// files: "a/b" and "a_b" each load back to the merge of their own
+// profiles, per-epoch aggregates and retained series alike.
+func TestDaemonSaveDirKeepsTenantsApart(t *testing.T) {
+	tenants := []struct {
+		name, stem string
+		n          int
+	}{
+		{"a/b", "a_2fb", 1},
+		{"a_b", "a_5fb", 3},
+	}
+	for _, mode := range []struct {
+		name  string
+		extra []string
+		load  func(t *testing.T, dir, stem string) *hbbp.StoredProfile
+	}{
+		{"epochs", nil, func(t *testing.T, dir, stem string) *hbbp.StoredProfile {
+			f, err := os.Open(filepath.Join(dir, stem+"-epoch3.hbbprof"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			p, err := hbbp.LoadProfile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}},
+		{"series", []string{"-retain", "default"}, func(t *testing.T, dir, stem string) *hbbp.StoredProfile {
+			series, err := hbbp.OpenSeries(filepath.Join(dir, stem+".series"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return series.Merged()
+		}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			dir := t.TempDir()
+			addr, _, stderr, stop, exited := startDaemon(t, append([]string{"-save-dir", dir}, mode.extra...)...)
+			sent := make([][]*hbbp.StoredProfile, len(tenants))
+			for i, tn := range tenants {
+				sent[i] = sendProfiles(t, addr, tn.name, "host-1", 3, tn.n)
+			}
+			stop()
+			if code := <-exited; code != 0 {
+				t.Fatalf("exit code = %d; stderr:\n%s", code, stderr.String())
+			}
+			for i, tn := range tenants {
+				var got, want bytes.Buffer
+				if err := hbbp.SaveProfile(&got, mode.load(t, dir, tn.stem)); err != nil {
+					t.Fatal(err)
+				}
+				if err := hbbp.SaveProfile(&want, hbbp.MergeProfiles(sent[i]...)); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Errorf("tenant %q: saved %s diverges from the merge of its own profiles", tn.name, tn.stem)
+				}
+			}
+		})
 	}
 }
 

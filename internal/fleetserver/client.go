@@ -153,9 +153,12 @@ type Client struct {
 	telRetries *telemetry.Counter
 	telBackoff *telemetry.Histogram // backoff sleep wall, seconds
 
-	// frameBuf is the reused frame-encode scratch; safe because mu is
-	// held across every send, including its retries.
+	// frameBuf, entries and verdicts are the reused frame-encode,
+	// batch-entry and ack-decode scratch; safe because mu is held
+	// across every send, including its retries.
 	frameBuf []byte
+	entries  []fleetwire.BatchEntry
+	verdicts []fleetwire.BatchVerdict
 }
 
 // Dial validates cfg and connects to addr, retrying transient
@@ -206,31 +209,9 @@ func (c *Client) Send(ctx context.Context, epoch uint64, p *profstore.Profile) e
 }
 
 // SendBytes is Send for an already-serialized stored profile (the
-// bytes profstore.Save produces). The payload is delivered verbatim.
+// bytes profstore.Save produces), delivered verbatim as a batch of one.
 func (c *Client) SendBytes(ctx context.Context, epoch uint64, payload []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClientClosed
-	}
-	c.seq++
-	seq := c.seq
-	c.frameBuf = fleetwire.AppendProfile(c.frameBuf[:0], fleetwire.ProfileHeader{Seq: seq, Epoch: epoch}, payload)
-	frame := c.frameBuf
-
-	for attempt := 1; ; attempt++ {
-		err := c.trySend(ctx, seq, frame)
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, ErrRejected) || errors.Is(err, context.Canceled) ||
-			errors.Is(err, context.DeadlineExceeded) {
-			return err
-		}
-		if giveUp := c.retryBudget(ctx, attempt, err); giveUp != nil {
-			return giveUp
-		}
-	}
+	return c.SendBatchBytes(ctx, []BatchItem{{Epoch: epoch, Payload: payload}})
 }
 
 // BatchItem is one profile for SendBatchBytes: a serialized stored
@@ -262,7 +243,7 @@ func (c *Client) SendBatch(ctx context.Context, epoch uint64, profiles []*profst
 // SendBatchBytes is SendBatch for already-serialized profiles, each
 // with its own epoch. Entries are assigned consecutive sequence
 // numbers and sent as one batch frame; on resets or overload the
-// still-unconfirmed suffix retries as a smaller batch, with the
+// still-unconfirmed entries retry as a smaller batch, with the
 // handshake resume point confirming anything merged before a lost ack.
 func (c *Client) SendBatchBytes(ctx context.Context, items []BatchItem) error {
 	c.mu.Lock()
@@ -273,22 +254,24 @@ func (c *Client) SendBatchBytes(ctx context.Context, items []BatchItem) error {
 	if len(items) == 0 {
 		return nil
 	}
-	entries := make([]fleetwire.BatchEntry, len(items))
-	for i, it := range items {
+	pending := c.entries[:0]
+	for _, it := range items {
 		c.seq++
-		entries[i] = fleetwire.BatchEntry{Seq: c.seq, Epoch: it.Epoch, Profile: it.Payload}
+		pending = append(pending, fleetwire.BatchEntry{Seq: c.seq, Epoch: it.Epoch, Profile: it.Payload})
 	}
-	// done tracks entries confirmed merged (ack or resume point);
-	// rejection remembers permanent refusals so they are not re-sent.
-	done := make([]bool, len(entries))
+	c.entries = pending
+	// Permanent refusals resolve their entries without failing the
+	// attempt, so one bad entry cannot abort its batchmates; they are
+	// reported once everything else is resolved.
 	var firstRejection error
 	rejections := 0
 	for attempt := 1; ; attempt++ {
-		err := c.trySendBatch(ctx, entries, done, &firstRejection, &rejections)
+		var err error
+		pending, err = c.trySendBatch(ctx, pending, &firstRejection, &rejections)
 		if err == nil {
 			if firstRejection != nil {
 				return fmt.Errorf("fleetserver: batch of %d: %d rejected (first: %v): %w",
-					len(entries), rejections, firstRejection, ErrRejected)
+					len(items), rejections, firstRejection, ErrRejected)
 			}
 			return nil
 		}
@@ -301,72 +284,76 @@ func (c *Client) SendBatchBytes(ctx context.Context, items []BatchItem) error {
 	}
 }
 
-// trySendBatch makes one delivery attempt for the batch's unresolved
-// entries. nil means every entry is resolved (merged, duplicate,
-// resume-skipped, or permanently rejected — recorded via firstRejection
-// rather than returned, so one bad entry cannot abort its batchmates).
-func (c *Client) trySendBatch(ctx context.Context, entries []fleetwire.BatchEntry,
-	done []bool, firstRejection *error, rejections *int) error {
+// trySendBatch makes one delivery attempt for the pending entries:
+// connect if needed, drop what the resume point already confirms,
+// write one batch frame, read its verdicts. It returns the entries
+// still unresolved, compacted in place; nil error means none are left
+// (each merged, duplicate, resume-skipped or permanently rejected). Any
+// failure that might have left entries merged but unconfirmed drops
+// the connection, so the next attempt re-handshakes and learns the
+// truth from the server's resume point or duplicate verdicts.
+func (c *Client) trySendBatch(ctx context.Context, pending []fleetwire.BatchEntry,
+	firstRejection *error, rejections *int) ([]fleetwire.BatchEntry, error) {
 	if err := c.ensureConn(ctx); err != nil {
-		return err
+		return pending, err
 	}
-	// Resolve what the resume point already confirms, then collect the
-	// still-pending suffix. Indexes into entries ride along so verdicts
-	// map back.
-	var pending []fleetwire.BatchEntry
-	var idx []int
-	for i := range entries {
-		if done[i] {
-			continue
-		}
-		if entries[i].Seq <= c.serverSeq {
-			done[i] = true
+	// The handshake resume point may already cover entries: a reset
+	// between the server's merge and our ack read means the re-dial,
+	// not a re-send, confirms delivery.
+	n := 0
+	for _, e := range pending {
+		if e.Seq <= c.serverSeq {
 			c.stats.ResumeSkipped++
 			continue
 		}
-		pending = append(pending, entries[i])
-		idx = append(idx, i)
+		pending[n] = e
+		n++
 	}
-	if len(pending) == 0 {
-		return nil
+	pending = pending[:n]
+	if n == 0 {
+		return pending, nil
 	}
 	c.frameBuf = fleetwire.AppendProfileBatch(c.frameBuf[:0], pending)
 	if err := c.wc.WriteFrame(fleetwire.FrameProfileBatch, c.frameBuf); err != nil {
 		c.dropConn()
 		c.stats.ConnErrors++
-		return err
+		return pending, err
 	}
-	c.stats.Sent += uint64(len(pending))
+	c.stats.Sent += uint64(n)
 	typ, payload, err := c.wc.ReadFrame()
 	if err != nil {
 		c.dropConn()
 		c.stats.ConnErrors++
-		return err
+		return pending, err
 	}
 	if typ != fleetwire.FrameAckBatch {
 		c.dropConn()
 		c.stats.ConnErrors++
-		return fmt.Errorf("fleetserver: unexpected %v frame awaiting batch verdicts: %w", typ, fleetwire.ErrProtocol)
+		return pending, fmt.Errorf("fleetserver: unexpected %v frame awaiting batch verdicts: %w", typ, fleetwire.ErrProtocol)
 	}
-	verdicts, err := fleetwire.ParseAckBatch(payload)
-	if err != nil || len(verdicts) != len(pending) {
+	c.verdicts, err = fleetwire.ParseAckBatchInto(c.verdicts, payload)
+	verdicts := c.verdicts
+	if err != nil || len(verdicts) != n {
 		c.dropConn()
 		c.stats.ConnErrors++
-		return fmt.Errorf("fleetserver: bad batch ack (%d verdicts for %d entries): %w",
-			len(verdicts), len(pending), fleetwire.ErrProtocol)
+		return pending, fmt.Errorf("fleetserver: bad batch ack (%d verdicts for %d entries): %w",
+			len(verdicts), n, fleetwire.ErrProtocol)
 	}
-	var retryable error
 	for vi, v := range verdicts {
 		if v.Seq != pending[vi].Seq {
 			c.dropConn()
 			c.stats.ConnErrors++
-			return fmt.Errorf("fleetserver: batch verdict %d echoes seq %d, want %d: %w",
+			return pending, fmt.Errorf("fleetserver: batch verdict %d echoes seq %d, want %d: %w",
 				vi, v.Seq, pending[vi].Seq, fleetwire.ErrProtocol)
 		}
-		i := idx[vi]
-		switch v.Status {
-		case fleetwire.BatchMerged, fleetwire.BatchDuplicate:
-			done[i] = true
+	}
+	// Verdicts and entries pair up by index; the unresolved ones are
+	// compacted to the front as they are found.
+	unresolved := pending[:0]
+	var retryable error
+	for vi, v := range verdicts {
+		switch {
+		case v.Status == fleetwire.BatchMerged || v.Status == fleetwire.BatchDuplicate:
 			c.stats.Acked++
 			if v.Status == fleetwire.BatchDuplicate {
 				c.stats.DuplicateAcks++
@@ -374,105 +361,29 @@ func (c *Client) trySendBatch(ctx context.Context, entries []fleetwire.BatchEntr
 			if v.Seq > c.serverSeq {
 				c.serverSeq = v.Seq
 			}
-		case fleetwire.BatchNacked:
-			switch v.Code {
-			case fleetwire.NackBadProfile:
-				// Permanent: resolve the entry, remember the refusal.
-				done[i] = true
-				c.stats.RejectedNacks++
-				*rejections++
-				if *firstRejection == nil {
-					*firstRejection = fmt.Errorf("seq %d: %s", v.Seq, v.Msg)
-				}
-			case fleetwire.NackOverloaded:
-				c.stats.OverloadNacks++
-				retryable = fmt.Errorf("fleetserver: seq %d: %w", v.Seq, ErrOverloaded)
-			default:
-				// Shutting down or future codes: retry on a fresh
-				// connection.
-				retryable = fmt.Errorf("fleetserver: seq %d refused: %s (code %d)", v.Seq, v.Msg, v.Code)
+		case v.Code == fleetwire.NackBadProfile:
+			// Permanent: resolve the entry, remember the refusal.
+			c.stats.RejectedNacks++
+			*rejections++
+			if *firstRejection == nil {
+				*firstRejection = fmt.Errorf("seq %d: %s", v.Seq, v.Msg)
 			}
-		}
-	}
-	if retryable != nil {
-		if !errors.Is(retryable, ErrOverloaded) {
-			c.dropConn()
-		}
-		return retryable
-	}
-	return nil
-}
-
-// trySend makes one delivery attempt: connect if needed, check the
-// resume point, write the frame, wait for the verdict. Any failure
-// that might have left the profile merged but unconfirmed drops the
-// connection, so the next attempt re-handshakes and learns the truth
-// from the server's resume point or a duplicate ack.
-func (c *Client) trySend(ctx context.Context, seq uint64, frame []byte) error {
-	if err := c.ensureConn(ctx); err != nil {
-		return err
-	}
-	// The handshake resume point may already cover this profile: a
-	// reset between the server's merge and our ack read means the
-	// re-dial, not a re-send, confirms delivery.
-	if c.serverSeq >= seq {
-		c.stats.ResumeSkipped++
-		return nil
-	}
-	if err := c.wc.WriteFrame(fleetwire.FrameProfile, frame); err != nil {
-		c.dropConn()
-		c.stats.ConnErrors++
-		return err
-	}
-	c.stats.Sent++
-	typ, payload, err := c.wc.ReadFrame()
-	if err != nil {
-		c.dropConn()
-		c.stats.ConnErrors++
-		return err
-	}
-	switch typ {
-	case fleetwire.FrameAck:
-		ack, err := fleetwire.ParseAck(payload)
-		if err != nil || ack.Seq != seq {
-			c.dropConn()
-			c.stats.ConnErrors++
-			return fmt.Errorf("fleetserver: bad ack for seq %d: %w", seq, fleetwire.ErrProtocol)
-		}
-		if ack.Seq > c.serverSeq {
-			c.serverSeq = ack.Seq
-		}
-		c.stats.Acked++
-		if ack.Duplicate {
-			c.stats.DuplicateAcks++
-		}
-		return nil
-	case fleetwire.FrameNack:
-		nack, err := fleetwire.ParseNack(payload)
-		if err != nil || nack.Seq != seq {
-			c.dropConn()
-			c.stats.ConnErrors++
-			return fmt.Errorf("fleetserver: bad nack for seq %d: %w", seq, fleetwire.ErrProtocol)
-		}
-		switch nack.Code {
-		case fleetwire.NackOverloaded:
+		case v.Code == fleetwire.NackOverloaded:
 			// Retryable on the same connection after backoff.
 			c.stats.OverloadNacks++
-			return fmt.Errorf("fleetserver: seq %d: %w", seq, ErrOverloaded)
-		case fleetwire.NackBadProfile:
-			c.stats.RejectedNacks++
-			return fmt.Errorf("fleetserver: seq %d: %s: %w", seq, nack.Msg, ErrRejected)
+			retryable = fmt.Errorf("fleetserver: seq %d: %w", v.Seq, ErrOverloaded)
+			unresolved = append(unresolved, pending[vi])
 		default:
-			// Shutting down (or future codes): retry via a fresh
+			// Shutting down or future codes: retry on a fresh
 			// connection after backoff.
-			c.dropConn()
-			return fmt.Errorf("fleetserver: seq %d refused: %s (code %d)", seq, nack.Msg, nack.Code)
+			retryable = fmt.Errorf("fleetserver: seq %d refused: %s (code %d)", v.Seq, v.Msg, v.Code)
+			unresolved = append(unresolved, pending[vi])
 		}
-	default:
-		c.dropConn()
-		c.stats.ConnErrors++
-		return fmt.Errorf("fleetserver: unexpected %v frame awaiting verdict: %w", typ, fleetwire.ErrProtocol)
 	}
+	if retryable != nil && !errors.Is(retryable, ErrOverloaded) {
+		c.dropConn()
+	}
+	return unresolved, retryable
 }
 
 // ensureConn dials and handshakes if no connection is live, adopting

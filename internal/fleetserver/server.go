@@ -226,38 +226,23 @@ func (t *tenant) agent(name string) *agentState {
 	return ag
 }
 
-// job is one admitted unit of ingest on its way to a merge: a single
-// profile (entries nil) or a whole batch. A batch is deliberately ONE
-// job, not one per entry: the agent's watermark demands the entries
-// apply in sequence order as an atomic run under the agent lock, and a
-// single queue slot keeps the backpressure accounting whole-batch.
+// job is one admitted frame on its way to a merge: a batch frame's
+// entries, or a wire-v1 profile frame read as a batch of one. A frame
+// is deliberately ONE job, not one per entry: the agent's watermark
+// demands the entries apply in sequence order as an atomic run under
+// the agent lock, and a single queue slot keeps the backpressure
+// accounting whole-frame.
 type job struct {
-	t     *tenant
-	agent *agentState
-	seq   uint64
-	epoch uint64
-	body  []byte
-	// entries, when non-nil, makes this a batch job; seq/epoch/body are
-	// unused and the reply carries per-entry verdicts.
+	t       *tenant
+	agent   *agentState
 	entries []fleetwire.BatchEntry
-	reply   chan jobReply
-}
-
-// jobReply is a worker's verdict on one job.
-type jobReply struct {
-	status ingestStatus
-	msg    string
-	// verdicts answers a batch job, one per entry in entry order.
+	// verdicts answers the entries one for one, in entry order. Its
+	// backing array belongs to the connection and is reused frame to
+	// frame.
 	verdicts []fleetwire.BatchVerdict
+	// done is signalled once the worker has filled verdicts.
+	done chan struct{}
 }
-
-type ingestStatus uint8
-
-const (
-	ingestMerged ingestStatus = iota
-	ingestDuplicate
-	ingestRejected
-)
 
 // Server ingests profiles over fleetwire connections. Construct with
 // [Serve]; the zero value is not usable.
@@ -282,7 +267,7 @@ type Server struct {
 	// pays only atomic updates.
 	accepted        *telemetry.Counter
 	handshakeFailed *telemetry.Counter
-	profileLat      *telemetry.Histogram // FrameProfile read-to-reply
+	profileLat      *telemetry.Histogram // wire-v1 FrameProfile read-to-reply
 	batchLat        *telemetry.Histogram // FrameProfileBatch read-to-reply
 	batchEntries    *telemetry.Histogram // entries per batch frame
 	slow            *telemetry.SlowLog
@@ -432,13 +417,13 @@ func (s *Server) handle(conn net.Conn) {
 	}
 
 	// Per-connection scratch: the protocol is strictly one in-flight
-	// exchange per connection, so one job, one reply channel and one
-	// ack buffer serve the connection's whole life — the reply is
-	// always awaited before the next frame, so the worker is done with
-	// the job before it is refilled.
-	reply := make(chan jobReply, 1)
-	connJob := &job{}
-	var ackBuf []byte
+	// exchange per connection, so one job (with its entry and verdict
+	// buffers) and one reply buffer serve the connection's whole life —
+	// the reply is always written before the next frame is read, so the
+	// worker is done with the job before it is refilled. Entries alias
+	// the connection's read buffer for the same reason.
+	j := &job{t: tn, agent: ag, done: make(chan struct{}, 1)}
+	var out []byte
 
 	for {
 		if s.isClosing() {
@@ -458,82 +443,93 @@ func (s *Server) handle(conn net.Conn) {
 		// measures the server's parse/queue/merge/reply work, not how
 		// long the agent took to send the next frame.
 		t0 := time.Now()
-		if typ == fleetwire.FrameProfileBatch {
-			ok := s.handleBatch(wc, tn, ag, payload, connJob, reply)
-			s.observeFrame(s.batchLat, "batch", tn, t0)
-			if !ok {
-				return
-			}
-			continue
+		switch typ {
+		case fleetwire.FrameProfileBatch:
+			j.entries, err = fleetwire.ParseProfileBatchInto(j.entries, payload)
+		case fleetwire.FrameProfile:
+			hdr, body, perr := fleetwire.ParseProfile(payload)
+			j.entries = append(j.entries[:0], fleetwire.BatchEntry{Seq: hdr.Seq, Epoch: hdr.Epoch, Profile: body})
+			err = perr
+		default:
+			err = fleetwire.ErrProtocol
 		}
-		if typ != fleetwire.FrameProfile {
-			tn.corrupt.Add(1)
-			return
-		}
-		hdr, body, err := fleetwire.ParseProfile(payload)
 		if err != nil {
 			tn.corrupt.Add(1)
 			return
 		}
-
-		// Fast duplicate path: a re-send of an already-merged profile
-		// (its ack was lost) is answered without a queue trip.
-		ag.mu.Lock()
-		dup := hdr.Seq <= ag.lastSeq
-		ag.mu.Unlock()
-		if dup {
-			tn.duplicates.Add(1)
-			ackBuf = fleetwire.AppendAck(ackBuf[:0], fleetwire.Ack{Seq: hdr.Seq, Duplicate: true})
-			if err := wc.WriteFrame(fleetwire.FrameAck, ackBuf); err != nil {
-				return
-			}
-			s.observeFrame(s.profileLat, "profile", tn, t0)
-			continue
+		open := s.ingest(j)
+		// A wire-v1 frame gets its one verdict back as the Ack or Nack
+		// that protocol expects; a batch gets every verdict.
+		lat, frame := s.batchLat, "batch"
+		var rtyp fleetwire.FrameType
+		if typ == fleetwire.FrameProfile {
+			lat, frame = s.profileLat, "profile"
+			rtyp, out = appendV1Reply(out[:0], j.verdicts[0])
+		} else {
+			tn.batches.Add(1)
+			s.batchEntries.Observe(int64(len(j.entries)))
+			rtyp, out = fleetwire.FrameAckBatch, fleetwire.AppendAckBatch(out[:0], j.verdicts)
 		}
-
-		*connJob = job{t: tn, agent: ag, seq: hdr.Seq, epoch: hdr.Epoch, body: body, reply: reply}
-		if !s.enqueue(connJob) {
-			if s.isClosing() {
-				// Refused because the server is draining: explicit,
-				// retryable elsewhere, never merged.
-				wc.WriteFrame(fleetwire.FrameNack,
-					fleetwire.AppendNack(nil, fleetwire.Nack{Seq: hdr.Seq,
-						Code: fleetwire.NackShuttingDown, Msg: "server draining"}))
-				return
-			}
-			// Shed: the bounded queue stayed full past the
-			// backpressure deadline. The drop is counted before the
-			// nack is attempted, so the ledger can only over-report
-			// refusals, never under-report them.
-			tn.shed.Add(1)
-			if err := wc.WriteFrame(fleetwire.FrameNack,
-				fleetwire.AppendNack(nil, fleetwire.Nack{Seq: hdr.Seq,
-					Code: fleetwire.NackOverloaded, Msg: "ingest queue full"})); err != nil {
-				return
-			}
-			s.observeFrame(s.profileLat, "profile", tn, t0)
-			continue
+		err = wc.WriteFrame(rtyp, out)
+		s.observeFrame(lat, frame, tn, t0)
+		if err != nil || !open {
+			return
 		}
-
-		// The worker always replies — shutdown drains the queue before
-		// the workers exit — so a merged profile is always answered.
-		r := <-reply
-		switch r.status {
-		case ingestMerged, ingestDuplicate:
-			ackBuf = fleetwire.AppendAck(ackBuf[:0], fleetwire.Ack{Seq: hdr.Seq,
-				Duplicate: r.status == ingestDuplicate})
-			if err := wc.WriteFrame(fleetwire.FrameAck, ackBuf); err != nil {
-				return
-			}
-		case ingestRejected:
-			if err := wc.WriteFrame(fleetwire.FrameNack,
-				fleetwire.AppendNack(nil, fleetwire.Nack{Seq: hdr.Seq,
-					Code: fleetwire.NackBadProfile, Msg: r.msg})); err != nil {
-				return
-			}
-		}
-		s.observeFrame(s.profileLat, "profile", tn, t0)
 	}
+}
+
+// ingest fills j.verdicts for j.entries: a re-send the agent's ledger
+// already covers (its ack was lost) is answered as duplicates without a
+// queue trip; anything else is admitted as ONE queue job (whole-frame
+// backpressure) or refused whole. Returns false when the server is
+// draining and the connection should close after the reply.
+func (s *Server) ingest(j *job) bool {
+	j.verdicts = j.verdicts[:0]
+	// Entry seqs ascend (the parser enforces it for batches), so the
+	// last one decides whether the ledger covers them all.
+	j.agent.mu.Lock()
+	dup := j.entries[len(j.entries)-1].Seq <= j.agent.lastSeq
+	j.agent.mu.Unlock()
+	if dup {
+		j.t.duplicates.Add(uint64(len(j.entries)))
+		for i := range j.entries {
+			j.verdicts = append(j.verdicts, fleetwire.BatchVerdict{Seq: j.entries[i].Seq, Status: fleetwire.BatchDuplicate})
+		}
+		return true
+	}
+	if s.enqueue(j) {
+		// The worker always answers — shutdown drains the queue before
+		// the workers exit — so an admitted frame is always replied to.
+		<-j.done
+		return true
+	}
+	code, msg := fleetwire.NackOverloaded, "ingest queue full"
+	draining := s.isClosing()
+	if draining {
+		// Refused because the server is draining: explicit, retryable
+		// elsewhere, never merged.
+		code, msg = fleetwire.NackShuttingDown, "server draining"
+	} else {
+		// Shed: the bounded queue stayed full past the backpressure
+		// deadline. Every entry is counted dropped before the nack is
+		// attempted, so the ledger can only over-report refusals,
+		// never under-report them.
+		j.t.shed.Add(uint64(len(j.entries)))
+	}
+	for i := range j.entries {
+		j.verdicts = append(j.verdicts, fleetwire.BatchVerdict{Seq: j.entries[i].Seq,
+			Status: fleetwire.BatchNacked, Code: code, Msg: msg})
+	}
+	return !draining
+}
+
+// appendV1Reply renders a wire-v1 profile frame's verdict as its Ack or
+// Nack frame.
+func appendV1Reply(dst []byte, v fleetwire.BatchVerdict) (fleetwire.FrameType, []byte) {
+	if v.Status == fleetwire.BatchNacked {
+		return fleetwire.FrameNack, fleetwire.AppendNack(dst, fleetwire.Nack{Seq: v.Seq, Code: v.Code, Msg: v.Msg})
+	}
+	return fleetwire.FrameAck, fleetwire.AppendAck(dst, fleetwire.Ack{Seq: v.Seq, Duplicate: v.Status == fleetwire.BatchDuplicate})
 }
 
 // observeFrame records one answered frame's latency, feeding the slow
@@ -545,45 +541,6 @@ func (s *Server) observeFrame(h *telemetry.Histogram, frame string, tn *tenant, 
 	if d >= s.slow.Threshold() {
 		s.slow.Observe("ingest/"+frame, d, func() string { return "tenant=" + tn.name })
 	}
-}
-
-// handleBatch answers one batch frame: parse, admit as ONE queue job
-// (whole-batch backpressure), reply with per-entry verdicts. Returns
-// false when the connection should close. The entries alias the
-// connection's read buffer; that is safe because the reply is awaited
-// — and the bytes fully consumed — before the next ReadFrame.
-func (s *Server) handleBatch(wc *fleetwire.Conn, tn *tenant, ag *agentState, payload []byte, j *job, reply chan jobReply) bool {
-	entries, err := fleetwire.ParseProfileBatch(payload)
-	if err != nil {
-		tn.corrupt.Add(1)
-		return false
-	}
-	tn.batches.Add(1)
-	s.batchEntries.Observe(int64(len(entries)))
-	*j = job{t: tn, agent: ag, entries: entries, reply: reply}
-	if !s.enqueue(j) {
-		code, msg := fleetwire.NackOverloaded, "ingest queue full"
-		if s.isClosing() {
-			code, msg = fleetwire.NackShuttingDown, "server draining"
-		} else {
-			// Whole-batch shed: the queue refused the unit, so every
-			// entry is counted dropped before the nack is attempted.
-			tn.shed.Add(uint64(len(entries)))
-		}
-		verdicts := make([]fleetwire.BatchVerdict, len(entries))
-		for i := range entries {
-			verdicts[i] = fleetwire.BatchVerdict{Seq: entries[i].Seq,
-				Status: fleetwire.BatchNacked, Code: code, Msg: msg}
-		}
-		if err := wc.WriteFrame(fleetwire.FrameAckBatch,
-			fleetwire.AppendAckBatch(nil, verdicts)); err != nil {
-			return false
-		}
-		return !s.isClosing()
-	}
-	r := <-reply
-	return wc.WriteFrame(fleetwire.FrameAckBatch,
-		fleetwire.AppendAckBatch(nil, r.verdicts)) == nil
 }
 
 // handshake validates the preamble and hello and answers with the
@@ -652,62 +609,27 @@ func (s *Server) enqueue(j *job) bool {
 	}
 }
 
-// worker merges admitted profiles. The dedup check, the merge and the
-// ledger commit are one atomic step under the agent's lock, so a
-// profile can never merge twice no matter how it was re-sent. Profiles
-// decode straight into interned form (profstore.LoadInterned) and feed
-// the aggregator as integer rows — the wire path never materializes a
-// string-keyed profile.
+// worker merges admitted frames. Each entry's dedup check, merge and
+// ledger commit happen under the agent's lock, so a profile can never
+// merge twice no matter how it was re-sent. Profiles decode straight
+// into interned form (profstore.LoadInterned) and feed the aggregator
+// as integer rows — the wire path never materializes a string-keyed
+// profile.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	for j := range s.queue {
-		if j.entries != nil {
-			j.reply <- s.processBatch(j)
-			continue
-		}
-		if s.cfg.testIngestDelay > 0 {
-			time.Sleep(s.cfg.testIngestDelay)
-		}
-		j.agent.mu.Lock()
-		var r jobReply
-		switch {
-		case j.seq <= j.agent.lastSeq:
-			r = jobReply{status: ingestDuplicate}
-		default:
-			in, err := profstore.LoadInterned(j.body)
-			if err != nil {
-				r = jobReply{status: ingestRejected, msg: err.Error()}
-			} else {
-				ent := j.t.acquireEpoch(j.epoch)
-				ent.agg.IngestInterned(in)
-				j.t.releaseEpoch(ent)
-				j.agent.lastSeq = j.seq
-				r = jobReply{status: ingestMerged}
-			}
-		}
-		j.agent.mu.Unlock()
-		switch r.status {
-		case ingestMerged:
-			j.t.merged.Add(1)
-			s.roll(j.t, j.epoch)
-		case ingestDuplicate:
-			j.t.duplicates.Add(1)
-		case ingestRejected:
-			j.t.rejected.Add(1)
-		}
-		j.reply <- r
+		s.process(j)
+		j.done <- struct{}{}
 	}
 }
 
-// processBatch applies one batch job: every entry in sequence order
-// under the agent lock, each with the same dedup/merge/reject
-// semantics a single-profile job has. A bad entry is refused and
+// process applies one job's entries in sequence order under the agent
+// lock, appending one verdict per entry. A bad entry is refused and
 // skipped without advancing the watermark for it — later entries still
 // merge (their higher seqs then advance the ledger past the refused
 // one, which is sound: BadProfile is permanent, re-sending the same
 // bytes could never succeed).
-func (s *Server) processBatch(j *job) jobReply {
-	verdicts := make([]fleetwire.BatchVerdict, 0, len(j.entries))
+func (s *Server) process(j *job) {
 	var merged, dups, rejected uint64
 	var maxMergedEpoch uint64
 	j.agent.mu.Lock()
@@ -718,13 +640,13 @@ func (s *Server) processBatch(j *job) jobReply {
 		}
 		if e.Seq <= j.agent.lastSeq {
 			dups++
-			verdicts = append(verdicts, fleetwire.BatchVerdict{Seq: e.Seq, Status: fleetwire.BatchDuplicate})
+			j.verdicts = append(j.verdicts, fleetwire.BatchVerdict{Seq: e.Seq, Status: fleetwire.BatchDuplicate})
 			continue
 		}
 		in, err := profstore.LoadInterned(e.Profile)
 		if err != nil {
 			rejected++
-			verdicts = append(verdicts, fleetwire.BatchVerdict{Seq: e.Seq,
+			j.verdicts = append(j.verdicts, fleetwire.BatchVerdict{Seq: e.Seq,
 				Status: fleetwire.BatchNacked, Code: fleetwire.NackBadProfile, Msg: err.Error()})
 			continue
 		}
@@ -736,7 +658,7 @@ func (s *Server) processBatch(j *job) jobReply {
 		if e.Epoch > maxMergedEpoch {
 			maxMergedEpoch = e.Epoch
 		}
-		verdicts = append(verdicts, fleetwire.BatchVerdict{Seq: e.Seq, Status: fleetwire.BatchMerged})
+		j.verdicts = append(j.verdicts, fleetwire.BatchVerdict{Seq: e.Seq, Status: fleetwire.BatchMerged})
 	}
 	j.agent.mu.Unlock()
 	j.t.merged.Add(merged)
@@ -745,7 +667,6 @@ func (s *Server) processBatch(j *job) jobReply {
 	if merged > 0 {
 		s.roll(j.t, maxMergedEpoch)
 	}
-	return jobReply{verdicts: verdicts}
 }
 
 // Snapshot returns the merged profile for one tenant and epoch — a

@@ -40,6 +40,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"slices"
 	"time"
 )
 
@@ -603,6 +604,13 @@ func AppendProfileBatch(dst []byte, entries []BatchEntry) []byte {
 // in-order unit against the agent's watermark, so a disordered batch
 // could never ack coherently.
 func ParseProfileBatch(p []byte) ([]BatchEntry, error) {
+	return ParseProfileBatchInto(nil, p)
+}
+
+// ParseProfileBatchInto is ParseProfileBatch decoding into dst's
+// backing array (from length 0, grown as needed), so a connection that
+// reads one batch at a time reuses one entry buffer.
+func ParseProfileBatchInto(dst []BatchEntry, p []byte) ([]BatchEntry, error) {
 	n, p, err := parseUvarint(p, "batch count")
 	if err != nil {
 		return nil, err
@@ -617,7 +625,7 @@ func ParseProfileBatch(p []byte) ([]BatchEntry, error) {
 	if pre > batchPrealloc {
 		pre = batchPrealloc
 	}
-	entries := make([]BatchEntry, 0, pre)
+	entries := slices.Grow(dst[:0], int(pre))
 	for i := uint64(0); i < n; i++ {
 		var e BatchEntry
 		if e.Seq, p, err = parseUvarint(p, "batch entry seq"); err != nil {
@@ -705,6 +713,13 @@ func AppendAckBatch(dst []byte, verdicts []BatchVerdict) []byte {
 
 // ParseAckBatch decodes a batch ack payload.
 func ParseAckBatch(p []byte) ([]BatchVerdict, error) {
+	return ParseAckBatchInto(nil, p)
+}
+
+// ParseAckBatchInto is ParseAckBatch decoding into dst's backing array
+// (from length 0, grown as needed), so a client that awaits one batch
+// ack at a time reuses one verdict buffer.
+func ParseAckBatchInto(dst []BatchVerdict, p []byte) ([]BatchVerdict, error) {
 	n, p, err := parseUvarint(p, "ack-batch count")
 	if err != nil {
 		return nil, err
@@ -719,7 +734,7 @@ func ParseAckBatch(p []byte) ([]BatchVerdict, error) {
 	if pre > batchPrealloc {
 		pre = batchPrealloc
 	}
-	verdicts := make([]BatchVerdict, 0, pre)
+	verdicts := slices.Grow(dst[:0], int(pre))
 	for i := uint64(0); i < n; i++ {
 		var v BatchVerdict
 		if v.Seq, p, err = parseUvarint(p, "ack-batch seq"); err != nil {

@@ -39,9 +39,9 @@ type FleetServerStats = fleetserver.Stats
 type FleetTenantStats = fleetserver.TenantStats
 
 // FleetClient delivers stored profiles to a [FleetServer] with
-// retries, reconnection and exactly-once delivery — one per round
-// trip ([fleetserver.Client.Send]) or many
-// ([fleetserver.Client.SendBatch]). Construct with [Dial].
+// retries, reconnection and exactly-once delivery — one profile
+// ([fleetserver.Client.Send], sent as a batch of one) or many per round
+// trip ([fleetserver.Client.SendBatch]). Construct with [Dial].
 type FleetClient = fleetserver.Client
 
 // FleetBatchItem is one profile in a [FleetClient.SendBatchBytes]
