@@ -7,6 +7,9 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"hbbp/internal/profstore"
+	"hbbp/internal/tsstore"
 )
 
 // benchWireIngest measures sustained wire ingest over TCP loopback:
@@ -70,3 +73,64 @@ func benchWireIngest(b *testing.B, agents int) {
 func BenchmarkWireIngest1Agent(b *testing.B)   { benchWireIngest(b, 1) }
 func BenchmarkWireIngest8Agents(b *testing.B)  { benchWireIngest(b, 8) }
 func BenchmarkWireIngest64Agents(b *testing.B) { benchWireIngest(b, 64) }
+
+// BenchmarkServerWindow measures the fleet query path end to end
+// inside the server: a Window over the last 16 epochs of a tenant
+// whose 64-epoch history is rolled through DefaultRetention (raw,
+// 4:1 and 16:1 windows) and whose newest epoch is still live with 64
+// profiles, so every query pays the live-epoch snapshot as well as
+// the merge of the covered series windows.
+func BenchmarkServerWindow(b *testing.B) {
+	const epochs, perEpoch = 64, 64
+	s := startServer(b, Config{Retention: tsstore.DefaultRetention()})
+	ctx := context.Background()
+	c, err := Dial(ctx, s.Addr().String(), ClientConfig{Tenant: "bench", Agent: "roller"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	rng := rand.New(rand.NewSource(1))
+	pool := make([]*profstore.Profile, 8)
+	for i := range pool {
+		pool[i] = windowBenchProfile(rng, fmt.Sprintf("unit%d", i))
+	}
+	batch := make([]*profstore.Profile, perEpoch)
+	for e := uint64(0); e < epochs; e++ {
+		for i := range batch {
+			batch[i] = pool[rng.Intn(len(pool))]
+		}
+		if err := c.SendBatch(ctx, e, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if st := tenantStats(b, s, "bench"); len(st.Epochs) != 1 || len(st.Windows) == 0 {
+		b.Fatalf("want one live epoch over a rolled series, got epochs %v, %d windows",
+			st.Epochs, len(st.Windows))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p, _ := s.Window("bench", epochs-16, epochs-1); len(p.Blocks) == 0 {
+			b.Fatal("empty window")
+		}
+	}
+}
+
+// windowBenchProfile builds one unit's capture: 256 blocks over 16
+// functions and 32 ops — mid-size, like a registry workload's.
+func windowBenchProfile(rng *rand.Rand, unit string) *profstore.Profile {
+	p := &profstore.Profile{Workloads: []profstore.WorkloadWeight{{Name: unit, Runs: 1}}}
+	for i := 0; i < 256; i++ {
+		p.Blocks = append(p.Blocks, profstore.Block{
+			Unit: unit, Module: "a.out", Function: fmt.Sprintf("f%02d", i%16),
+			Addr: uint64(0x1000 + 32*i), Len: uint32(1 + rng.Intn(12)),
+			Count: uint64(1 + rng.Intn(1<<12)),
+		})
+	}
+	for i := 0; i < 32; i++ {
+		p.Ops = append(p.Ops, profstore.OpMass{
+			Mnemonic: fmt.Sprintf("op%02d", i), Ring: uint8(i % 2), Mass: uint64(1 + rng.Intn(1<<16)),
+		})
+	}
+	return profstore.Canonical(p)
+}

@@ -57,7 +57,7 @@ func (s *Server) roll(t *tenant, epoch uint64) {
 		// Snapshot under t.mu: every new merge acquires the epoch via
 		// acquireEpoch, which also needs t.mu, so nothing can slip into
 		// this aggregator between the snapshot and the delete.
-		t.series.AppendEpoch(e, ent.agg.Snapshot())
+		t.series.AppendEpochInterned(e, ent.agg.SnapshotInterned())
 		rolled = true
 	}
 	if rolled {
@@ -88,7 +88,7 @@ func (s *Server) SeriesSnapshot(tenantName string) *tsstore.Series {
 		out = &tsstore.Series{}
 	}
 	for e, ent := range t.epochs {
-		out.AppendEpoch(e, ent.agg.Snapshot())
+		out.AppendEpochInterned(e, ent.agg.SnapshotInterned())
 	}
 	return out
 }
@@ -96,9 +96,33 @@ func (s *Server) SeriesSnapshot(tenantName string) *tsstore.Series {
 // Window merges the tenant's state over the inclusive epoch range
 // [since, until] — rolled windows and live epochs alike — into one
 // canonical profile, returning the spans that contributed. The result
-// is bit-identical to the flat profstore.Merge of every acked profile
-// in those spans. A nil profile is never returned; an empty overlap
-// (or unknown tenant) yields an empty profile and no spans.
+// is bit-identical to SeriesSnapshot(tenantName).Window(since, until),
+// and so to the flat profstore.Merge of every acked profile in those
+// spans. A nil profile is never returned; an empty overlap (or unknown
+// tenant) yields an empty profile and no spans.
+//
+// Only what the range needs is taken under the tenant lock: the series
+// windows overlapping [since, until] (shared, not copied — windows are
+// immutable) and snapshots of the live epochs that land in them, which
+// are the epochs inside the range plus late epochs inside an
+// overlapping rolled window. The merge runs after the lock is dropped.
 func (s *Server) Window(tenantName string, since, until uint64) (*profstore.Profile, []tsstore.Span) {
-	return s.SeriesSnapshot(tenantName).Window(since, until)
+	s.mu.Lock()
+	t := s.tenants[tenantName]
+	s.mu.Unlock()
+	if t == nil || since > until {
+		return &profstore.Profile{}, nil
+	}
+	t.mu.Lock()
+	sub := &tsstore.Series{}
+	if t.series != nil {
+		sub = t.series.Range(since, until)
+	}
+	for e, ent := range t.epochs {
+		if (since <= e && e <= until) || sub.Covers(e) {
+			sub.AppendEpochInterned(e, ent.agg.SnapshotInterned())
+		}
+	}
+	t.mu.Unlock()
+	return sub.Window(since, until)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hbbp/internal/profstore"
@@ -216,5 +217,99 @@ func TestRollingOffKeepsHistoricalBehavior(t *testing.T) {
 	}
 	if !bytes.Equal(saveBytes(t, got), saveBytes(t, profstore.Merge(flat...))) {
 		t.Fatal("windowed query over live epochs diverges")
+	}
+}
+
+// TestWindowMatchesSeriesSnapshot pins the range-scoped Window to the
+// whole-axis contract it shortcuts: once ingest quiesces, Window
+// answers every range byte for byte — profile and spans — as
+// SeriesSnapshot().Window does, with rolling on (folded windows plus
+// live epochs, ranges with and without the live epochs) and off (live
+// epochs only), including empty, inverted and out-of-history ranges.
+func TestWindowMatchesSeriesSnapshot(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"rolling", rollConfig()},
+		{"rolling-off", Config{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const epochs = 24
+			s := startServer(t, tc.cfg)
+			sendEpochs(t, s, "acme", epochs, 2, 8)
+			full := s.SeriesSnapshot("acme")
+			ts := tenantStats(t, s, "acme")
+			if tc.cfg.rolling() && (len(ts.Windows) == 0 || len(ts.Epochs) == 0) {
+				t.Fatalf("want rolled windows and a live epoch, got windows %v, epochs %v",
+					ts.Windows, ts.Epochs)
+			}
+			rng := rand.New(rand.NewSource(9))
+			ranges := [][2]uint64{{0, epochs - 1}, {0, epochs - 3}, {epochs - 1, epochs - 1},
+				{epochs + 2, epochs + 5}, {5, 4}}
+			for k := 0; k < 60; k++ {
+				a, b := uint64(rng.Intn(epochs+2)), uint64(rng.Intn(epochs+2))
+				ranges = append(ranges, [2]uint64{min(a, b), max(a, b)})
+			}
+			for _, r := range ranges {
+				got, gotSpans := s.Window("acme", r[0], r[1])
+				want, wantSpans := full.Window(r[0], r[1])
+				if !reflect.DeepEqual(gotSpans, wantSpans) {
+					t.Fatalf("Window(%d,%d) spans %v, series snapshot says %v", r[0], r[1], gotSpans, wantSpans)
+				}
+				if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
+					t.Fatalf("Window(%d,%d) diverges from the series snapshot's", r[0], r[1])
+				}
+			}
+			if p, spans := s.Window("nobody", 0, epochs); len(spans) != 0 || len(p.Blocks) != 0 {
+				t.Error("unknown tenant's window not empty")
+			}
+		})
+	}
+}
+
+// TestWindowDuringIngest queries while an agent ingests and the server
+// rolls and folds epochs. Window merges shared interned windows after
+// dropping the tenant lock while rolls replace them, which the race
+// detector checks; once ingest ends, the answer is the flat merge of
+// everything acked.
+func TestWindowDuringIngest(t *testing.T) {
+	const epochs = 24
+	s := startServer(t, rollConfig())
+	ctx := context.Background()
+	errc := make(chan error, 1)
+	var sent []*profstore.Profile // the sender's until it reports on errc
+	go func() {
+		c, err := Dial(ctx, s.Addr().String(), ClientConfig{Tenant: "acme", Agent: "roller"})
+		if err != nil {
+			errc <- err
+			return
+		}
+		defer c.Close()
+		rng := rand.New(rand.NewSource(10))
+		for e := uint64(0); e < epochs; e++ {
+			batch := []*profstore.Profile{testProfile(rng, "gcc"), testProfile(rng, "gcc")}
+			if err := c.SendBatch(ctx, e, batch); err != nil {
+				errc <- err
+				return
+			}
+			sent = append(sent, batch...)
+		}
+		errc <- nil
+	}()
+	for {
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := s.Window("acme", 0, epochs)
+			if !bytes.Equal(saveBytes(t, got), saveBytes(t, profstore.Merge(sent...))) {
+				t.Fatal("window after ingest diverges from the flat merge of the acked profiles")
+			}
+			return
+		default:
+			s.Window("acme", 0, epochs)
+		}
 	}
 }

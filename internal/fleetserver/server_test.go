@@ -74,7 +74,7 @@ func startServer(t testing.TB, cfg Config) *Server {
 }
 
 // tenantStats fetches one tenant's ledger from a stats snapshot.
-func tenantStats(t *testing.T, s *Server, name string) TenantStats {
+func tenantStats(t testing.TB, s *Server, name string) TenantStats {
 	t.Helper()
 	for _, ts := range s.Stats().Tenants {
 		if ts.Tenant == name {

@@ -1,8 +1,9 @@
 package profstore
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -260,11 +261,17 @@ func (a *Aggregator) IngestInterned(in *Interned) {
 }
 
 // Snapshot returns the merged view of everything ingested so far, as a
-// canonical profile. It is consistent: every Ingest that returned
-// before the call is fully included, and no in-flight Ingest is
-// partially visible. Ingestion resumes the moment the raw counters are
-// copied out; canonicalization runs outside the lock.
-func (a *Aggregator) Snapshot() *Profile {
+// canonical profile: SnapshotInterned, materialized.
+func (a *Aggregator) Snapshot() *Profile { return a.SnapshotInterned().Profile() }
+
+// SnapshotInterned returns the merged view of everything ingested so
+// far in interned form, for callers that keep merging — the fleet
+// tier's epoch roll and window queries — without a string round trip.
+// It is consistent: every Ingest that returned before the call is
+// fully included, and no in-flight Ingest is partially visible.
+// Ingestion resumes the moment the raw counters are copied out;
+// canonicalization runs outside the lock.
+func (a *Aggregator) SnapshotInterned() *Interned {
 	in := &Interned{}
 	a.mu.Lock()
 	// Copy out raw interned state under the exclusive lock. The symbol
@@ -305,14 +312,8 @@ func (a *Aggregator) Snapshot() *Profile {
 	// string order), then integer-sort the rows. IDs are bijective with
 	// strings, so no folding is needed — keys were unique in the maps.
 	in.sortSyms()
-	if len(in.workloads) > 1 {
-		sort.Slice(in.workloads, func(i, j int) bool { return in.workloads[i].name < in.workloads[j].name })
-	}
-	if len(in.blocks) > 1 {
-		sort.Slice(in.blocks, func(i, j int) bool { return iBlockCmp(&in.blocks[i], &in.blocks[j]) < 0 })
-	}
-	if len(in.ops) > 1 {
-		sort.Slice(in.ops, func(i, j int) bool { return iOpCmp(&in.ops[i], &in.ops[j]) < 0 })
-	}
-	return in.Profile()
+	slices.SortFunc(in.workloads, func(a, b iWorkload) int { return cmp.Compare(a.name, b.name) })
+	slices.SortFunc(in.blocks, func(a, b iBlock) int { return iBlockCmp(&a, &b) })
+	slices.SortFunc(in.ops, func(a, b iOp) int { return iOpCmp(&a, &b) })
+	return in
 }

@@ -1,8 +1,11 @@
 package profstore
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -112,6 +115,49 @@ func iOpCmp(a, b *iOp) int {
 	return 0
 }
 
+// keyed is what the generic section kernels below need of an interned
+// row type: its canonical key order and mass addition, so one kernel
+// per operation serves all three sections. Methods take and return
+// values: rows hold no pointers, so nothing a kernel passes through
+// the constraint escapes to the heap.
+type keyed[R any] interface {
+	cmpKey(R) int
+	plus(R) R
+}
+
+// row is keyed plus the symbol-ID rewrite the interned fold applies
+// on the fly.
+type row[R any] interface {
+	keyed[R]
+	withIDs(remap []uint32) R
+}
+
+func (w iWorkload) cmpKey(o iWorkload) int { return cmp.Compare(w.name, o.name) }
+func (w iWorkload) plus(o iWorkload) iWorkload {
+	w.runs += o.runs
+	return w
+}
+func (w iWorkload) withIDs(m []uint32) iWorkload {
+	w.name = m[w.name]
+	return w
+}
+
+func (b iBlock) cmpKey(o iBlock) int { return iBlockCmp(&b, &o) }
+func (b iBlock) plus(o iBlock) iBlock {
+	b.count += o.count
+	return b
+}
+
+func (o iOp) cmpKey(p iOp) int { return iOpCmp(&o, &p) }
+func (o iOp) plus(p iOp) iOp {
+	o.mass += p.mass
+	return o
+}
+func (o iOp) withIDs(m []uint32) iOp {
+	o.mnemonic = m[o.mnemonic]
+	return o
+}
+
 // Intern converts a profile to interned form. Canonical profiles (the
 // common case — everything this package hands out) intern in one
 // linear pass; anything else is canonicalized on the way in, so
@@ -156,14 +202,11 @@ func mergeProfilesInterned(profiles []*Profile) *Interned {
 			maxRows = r
 		}
 	}
-	sort.Strings(tab.syms)
+	slices.Sort(tab.syms)
 	for i, s := range tab.syms {
 		tab.ids[s] = uint32(i)
 	}
-	growthCap := 4 * maxRows
-	if growthCap < 2048 {
-		growthCap = 2048
-	}
+	growthCap := growthCapFor(maxRows)
 	f := &folder{tab: tab}
 	var chunks []*Interned
 	for i, p := range profiles {
@@ -174,7 +217,7 @@ func mergeProfilesInterned(profiles []*Profile) *Interned {
 			chunks = append(chunks, in)
 		case f.acc == nil:
 			f.acc = internRows(p, tab, false)
-		case len(f.acc.workloads)+len(f.acc.blocks)+len(f.acc.ops) > growthCap:
+		case f.acc.rows() > growthCap:
 			chunks = append(chunks, f.acc)
 			f.acc = internRows(p, tab, false)
 		default:
@@ -185,6 +228,173 @@ func mergeProfilesInterned(profiles []*Profile) *Interned {
 		chunks = append(chunks, f.acc)
 	}
 	return mergeInterned(chunks)
+}
+
+// growthCapFor is the accumulator size, in rows, past which a fold
+// seals its accumulator into a tournament chunk: four times the
+// largest input, so aligned fan-ins never hit it and disjoint ones
+// stop folding before the rebuilds go quadratic.
+func growthCapFor(maxRows int) int {
+	return max(4*maxRows, 2048)
+}
+
+// rows is the profile's total row count across sections.
+func (in *Interned) rows() int { return len(in.workloads) + len(in.blocks) + len(in.ops) }
+
+// MergeInterned merges any number of interned profiles into one: the
+// index-keyed [Merge], bit-identical to it over the materialized
+// forms — MergeInterned(Intern(a), Intern(b)).Profile() equals
+// Merge(a, b). Nil arguments are ignored, no argument is modified,
+// and a lone input is returned as-is (an Interned is immutable).
+//
+// No string is touched per row. One union symbol table is built for
+// the whole fan-in — free when every input carries the same table,
+// the steady state of one fleet's windows — and the integer rows then
+// fold into one mutable accumulator, in place while the keys line up,
+// each input translated through its remap onto the union on the fly.
+// The same growth cap as the profile fold seals the accumulator into
+// a chunk for the pairwise tournament when keys are disjoint.
+func MergeInterned(ins ...*Interned) *Interned {
+	mergeViaInterned.Inc()
+	live := make([]*Interned, 0, len(ins))
+	maxRows := 0
+	for _, in := range ins {
+		if in != nil {
+			live = append(live, in)
+			maxRows = max(maxRows, in.rows())
+		}
+	}
+	switch len(live) {
+	case 0:
+		return &Interned{}
+	case 1:
+		return live[0]
+	}
+	syms := unionTables(live)
+	growthCap := growthCapFor(maxRows)
+	f := &folder{} // accumulator and scratch only: sources are already interned
+	var chunks []*Interned
+	for _, in := range live {
+		remap := remapInto(in.syms, syms)
+		switch {
+		case f.acc == nil:
+			f.acc = in.remapped(syms, remap)
+		case f.acc.rows() > growthCap:
+			chunks = append(chunks, f.acc)
+			f.acc = in.remapped(syms, remap)
+		default:
+			f.acc.workloads = foldRows(f.acc.workloads, in.workloads, remap, &f.scratchW)
+			f.acc.blocks = foldBlockRows(f.acc.blocks, in.blocks, remap, &f.scratchB)
+			f.acc.ops = foldRows(f.acc.ops, in.ops, remap, &f.scratchO)
+		}
+	}
+	return mergeInterned(append(chunks, f.acc))
+}
+
+// foldRows adds the sorted interned section src, its IDs translated
+// through remap (nil: already the accumulator's), into the sorted
+// accumulator section a — in place while every source key is already
+// present, by one merging rebuild into *scratch once one is not.
+// Returns the (possibly swapped) accumulator slice; the old one
+// becomes the scratch.
+func foldRows[R row[R]](a, src []R, remap []uint32, scratch *[]R) []R {
+	ai := 0
+	for i, k := range src {
+		if remap != nil {
+			k = k.withIDs(remap)
+		}
+		// One compare per row when the key sequences line up — the
+		// aligned-fleet case this fold exists for.
+		c := 1
+		for ai < len(a) {
+			if c = a[ai].cmpKey(k); c >= 0 {
+				break
+			}
+			ai++
+		}
+		if c == 0 {
+			a[ai] = a[ai].plus(k)
+			ai++
+			continue
+		}
+		// New key: merge the tail into scratch and swap.
+		out := append((*scratch)[:0], a[:ai]...)
+		out = append(out, k)
+		for _, k2 := range src[i+1:] {
+			if remap != nil {
+				k2 = k2.withIDs(remap)
+			}
+			c := 1
+			for ai < len(a) {
+				if c = a[ai].cmpKey(k2); c >= 0 {
+					break
+				}
+				out = append(out, a[ai])
+				ai++
+			}
+			if c == 0 {
+				k2 = k2.plus(a[ai])
+				ai++
+			}
+			out = append(out, k2)
+		}
+		out = append(out, a[ai:]...)
+		*scratch = a[:0]
+		return out
+	}
+	return a
+}
+
+// foldBlockRows is foldRows hand-specialized for the block section.
+// Blocks are the bulk of every profile, and calling the key compare
+// and mass add through the generic constraint costs ~1.7x on the
+// window-merge benchmark, so this one section pays for its own copy.
+func foldBlockRows(a, src []iBlock, remap []uint32, scratch *[]iBlock) []iBlock {
+	ai := 0
+	for i := range src {
+		k := src[i]
+		if remap != nil {
+			k.unit, k.module, k.function = remap[k.unit], remap[k.module], remap[k.function]
+		}
+		c := 1
+		for ai < len(a) {
+			if c = iBlockCmp(&a[ai], &k); c >= 0 {
+				break
+			}
+			ai++
+		}
+		if c == 0 {
+			a[ai].count += k.count
+			ai++
+			continue
+		}
+		// New key: merge the tail into scratch and swap.
+		out := append((*scratch)[:0], a[:ai]...)
+		out = append(out, k)
+		for i2 := i + 1; i2 < len(src); i2++ {
+			k2 := src[i2]
+			if remap != nil {
+				k2.unit, k2.module, k2.function = remap[k2.unit], remap[k2.module], remap[k2.function]
+			}
+			c := 1
+			for ai < len(a) {
+				if c = iBlockCmp(&a[ai], &k2); c >= 0 {
+					break
+				}
+				out = append(out, a[ai])
+				ai++
+			}
+			if c == 0 {
+				k2.count += a[ai].count
+				ai++
+			}
+			out = append(out, k2)
+		}
+		out = append(out, a[ai:]...)
+		*scratch = a[:0]
+		return out
+	}
+	return a
 }
 
 // scanCollect walks p once, folding its strings into the shared table
@@ -262,11 +472,15 @@ func scanCollect(p *Profile, tab *symLookup) bool {
 	return canonical
 }
 
-// folder folds canonical profiles into a mutable interned accumulator,
-// recycling scratch slices across merging rebuilds.
+// folder folds canonical profiles (or, in MergeInterned, interned
+// rows) into a mutable interned accumulator, recycling scratch slices
+// across merging rebuilds.
 type folder struct {
 	tab *symLookup
 	acc *Interned
+
+	bufW []iWorkload
+	bufO []iOp
 
 	scratchW []iWorkload
 	scratchB []iBlock
@@ -274,59 +488,21 @@ type folder struct {
 }
 
 func (f *folder) fold(p *Profile) {
-	f.acc.workloads = f.foldWorkloads(f.acc.workloads, p.Workloads)
+	// Workloads and ops are a few dozen rows: translate them into
+	// reused buffers and take the interned fold. Blocks are the bulk of
+	// every profile, so they fold straight from the string rows.
+	f.bufW = appendIWorkloads(f.bufW[:0], p.Workloads, f.tab, false)
+	f.acc.workloads = foldRows(f.acc.workloads, f.bufW, nil, &f.scratchW)
 	f.acc.blocks = f.foldBlocks(f.acc.blocks, p.Blocks)
-	f.acc.ops = f.foldOps(f.acc.ops, p.Ops)
+	f.bufO = appendIOps(f.bufO[:0], p.Ops, f.tab, false)
+	f.acc.ops = foldRows(f.acc.ops, f.bufO, nil, &f.scratchO)
 }
 
-// foldWorkloads adds a sorted source section into the sorted
-// accumulator section a, in place while every source key is already
-// present, by merging rebuild once one is not. Returns the (possibly
-// swapped) accumulator slice.
-func (f *folder) foldWorkloads(a []iWorkload, src []WorkloadWeight) []iWorkload {
-	ai := 0
-	var prev string
-	var prevID uint32
-	first := true
-	for i := range src {
-		w := &src[i]
-		if first || w.Name != prev {
-			prevID, prev, first = f.tab.ids[w.Name], w.Name, false
-		}
-		for ai < len(a) && a[ai].name < prevID {
-			ai++
-		}
-		if ai < len(a) && a[ai].name == prevID {
-			a[ai].runs += w.Runs
-			ai++
-			continue
-		}
-		// New key: merge the tail into scratch and swap.
-		out := append(f.scratchW[:0], a[:ai]...)
-		out = append(out, iWorkload{name: prevID, runs: w.Runs})
-		for _, w2 := range src[i+1:] {
-			if w2.Name != prev {
-				prevID, prev = f.tab.ids[w2.Name], w2.Name
-			}
-			for ai < len(a) && a[ai].name < prevID {
-				out = append(out, a[ai])
-				ai++
-			}
-			row := iWorkload{name: prevID, runs: w2.Runs}
-			if ai < len(a) && a[ai].name == prevID {
-				row.runs += a[ai].runs
-				ai++
-			}
-			out = append(out, row)
-		}
-		out = append(out, a[ai:]...)
-		f.scratchW = a[:0]
-		return out
-	}
-	return a
-}
-
-// foldBlocks is foldWorkloads for the block section.
+// foldBlocks adds a sorted source block section into the sorted
+// accumulator section a, translating each row's strings to symbol IDs
+// on the fly: in place while every source key is already present, by
+// merging rebuild once one is not. Returns the (possibly swapped)
+// accumulator slice.
 func (f *folder) foldBlocks(a []iBlock, src []Block) []iBlock {
 	ai := 0
 	var pu, pm, pf string
@@ -396,61 +572,6 @@ func (f *folder) foldBlocks(a []iBlock, src []Block) []iBlock {
 	return a
 }
 
-// foldOps is foldWorkloads for the op section.
-func (f *folder) foldOps(a []iOp, src []OpMass) []iOp {
-	ai := 0
-	var prev string
-	var prevID uint32
-	first := true
-	for i := range src {
-		o := &src[i]
-		if first || o.Mnemonic != prev {
-			prevID, prev, first = f.tab.ids[o.Mnemonic], o.Mnemonic, false
-		}
-		k := iOp{mnemonic: prevID, ring: o.Ring, mass: o.Mass}
-		matched := false
-		for ai < len(a) {
-			c := iOpCmp(&a[ai], &k)
-			if c == 0 {
-				a[ai].mass += k.mass
-				ai++
-				matched = true
-				break
-			}
-			if c > 0 {
-				break
-			}
-			ai++
-		}
-		if matched {
-			continue
-		}
-		// New key: merge the tail into scratch and swap.
-		out := append(f.scratchO[:0], a[:ai]...)
-		out = append(out, k)
-		for i2 := i + 1; i2 < len(src); i2++ {
-			o2 := &src[i2]
-			if o2.Mnemonic != prev {
-				prevID, prev = f.tab.ids[o2.Mnemonic], o2.Mnemonic
-			}
-			k2 := iOp{mnemonic: prevID, ring: o2.Ring, mass: o2.Mass}
-			for ai < len(a) && iOpCmp(&a[ai], &k2) < 0 {
-				out = append(out, a[ai])
-				ai++
-			}
-			if ai < len(a) && iOpCmp(&a[ai], &k2) == 0 {
-				k2.mass += a[ai].mass
-				ai++
-			}
-			out = append(out, k2)
-		}
-		out = append(out, a[ai:]...)
-		f.scratchO = a[:0]
-		return out
-	}
-	return a
-}
-
 // symLookup interns strings into a growing table, caching the last hit
 // per call site: canonical sections keep equal strings in runs (and
 // rows decoded from one file share backing arrays), so the map is
@@ -477,20 +598,7 @@ func (t *symLookup) id(s string) uint32 {
 func internRows(p *Profile, tab *symLookup, dropZero bool) *Interned {
 	in := &Interned{}
 	if len(p.Workloads) > 0 {
-		in.workloads = make([]iWorkload, 0, len(p.Workloads))
-		var prev string
-		var prevID uint32
-		first := true
-		for i := range p.Workloads {
-			w := &p.Workloads[i]
-			if dropZero && w.Runs == 0 {
-				continue
-			}
-			if first || w.Name != prev {
-				prevID, prev, first = tab.id(w.Name), w.Name, false
-			}
-			in.workloads = append(in.workloads, iWorkload{name: prevID, runs: w.Runs})
-		}
+		in.workloads = appendIWorkloads(make([]iWorkload, 0, len(p.Workloads)), p.Workloads, tab, dropZero)
 	}
 	if len(p.Blocks) > 0 {
 		in.blocks = make([]iBlock, 0, len(p.Blocks))
@@ -519,23 +627,46 @@ func internRows(p *Profile, tab *symLookup, dropZero bool) *Interned {
 		}
 	}
 	if len(p.Ops) > 0 {
-		in.ops = make([]iOp, 0, len(p.Ops))
-		var prev string
-		var prevID uint32
-		first := true
-		for i := range p.Ops {
-			o := &p.Ops[i]
-			if dropZero && o.Mass == 0 {
-				continue
-			}
-			if first || o.Mnemonic != prev {
-				prevID, prev, first = tab.id(o.Mnemonic), o.Mnemonic, false
-			}
-			in.ops = append(in.ops, iOp{mnemonic: prevID, ring: o.Ring, mass: o.Mass})
-		}
+		in.ops = appendIOps(make([]iOp, 0, len(p.Ops)), p.Ops, tab, dropZero)
 	}
 	in.syms = tab.syms
 	return in
+}
+
+// appendIWorkloads appends src's rows, translated against tab, to dst.
+func appendIWorkloads(dst []iWorkload, src []WorkloadWeight, tab *symLookup, dropZero bool) []iWorkload {
+	var prev string
+	var prevID uint32
+	first := true
+	for i := range src {
+		w := &src[i]
+		if dropZero && w.Runs == 0 {
+			continue
+		}
+		if first || w.Name != prev {
+			prevID, prev, first = tab.id(w.Name), w.Name, false
+		}
+		dst = append(dst, iWorkload{name: prevID, runs: w.Runs})
+	}
+	return dst
+}
+
+// appendIOps is appendIWorkloads for the op section.
+func appendIOps(dst []iOp, src []OpMass, tab *symLookup, dropZero bool) []iOp {
+	var prev string
+	var prevID uint32
+	first := true
+	for i := range src {
+		o := &src[i]
+		if dropZero && o.Mass == 0 {
+			continue
+		}
+		if first || o.Mnemonic != prev {
+			prevID, prev, first = tab.id(o.Mnemonic), o.Mnemonic, false
+		}
+		dst = append(dst, iOp{mnemonic: prevID, ring: o.Ring, mass: o.Mass})
+	}
+	return dst
 }
 
 // sortSyms sorts the symbol table and rewrites every row ID through
@@ -545,11 +676,11 @@ func (in *Interned) sortSyms() {
 	if n == 0 {
 		return
 	}
-	perm := make([]int, n)
+	perm := make([]uint32, n)
 	for i := range perm {
-		perm[i] = i
+		perm[i] = uint32(i)
 	}
-	sort.Slice(perm, func(i, j int) bool { return in.syms[perm[i]] < in.syms[perm[j]] })
+	slices.SortFunc(perm, func(i, j uint32) int { return strings.Compare(in.syms[i], in.syms[j]) })
 	sorted := make([]string, n)
 	remap := make([]uint32, n)
 	for rank, old := range perm {
@@ -578,42 +709,26 @@ func (in *Interned) remapIDs(remap []uint32) {
 // Zero-mass *inputs* were already dropped; folded sums are kept even
 // if they wrap to zero, matching exact integer merge semantics.
 func (in *Interned) normalize() {
-	if len(in.workloads) > 1 {
-		sort.Slice(in.workloads, func(i, j int) bool { return in.workloads[i].name < in.workloads[j].name })
-		out := in.workloads[:0]
-		for _, w := range in.workloads {
-			if n := len(out); n > 0 && out[n-1].name == w.name {
-				out[n-1].runs += w.runs
-			} else {
-				out = append(out, w)
-			}
-		}
-		in.workloads = out
+	in.workloads = normalizeRows(in.workloads)
+	in.blocks = normalizeRows(in.blocks)
+	in.ops = normalizeRows(in.ops)
+}
+
+// normalizeRows sorts one section and folds runs of equal keys.
+func normalizeRows[R keyed[R]](rows []R) []R {
+	if len(rows) < 2 {
+		return rows
 	}
-	if len(in.blocks) > 1 {
-		sort.Slice(in.blocks, func(i, j int) bool { return iBlockCmp(&in.blocks[i], &in.blocks[j]) < 0 })
-		out := in.blocks[:0]
-		for _, b := range in.blocks {
-			if n := len(out); n > 0 && iBlockCmp(&out[n-1], &b) == 0 {
-				out[n-1].count += b.count
-			} else {
-				out = append(out, b)
-			}
+	slices.SortFunc(rows, R.cmpKey)
+	out := rows[:1]
+	for _, r := range rows[1:] {
+		if last := len(out) - 1; out[last].cmpKey(r) == 0 {
+			out[last] = out[last].plus(r)
+		} else {
+			out = append(out, r)
 		}
-		in.blocks = out
 	}
-	if len(in.ops) > 1 {
-		sort.Slice(in.ops, func(i, j int) bool { return iOpCmp(&in.ops[i], &in.ops[j]) < 0 })
-		out := in.ops[:0]
-		for _, o := range in.ops {
-			if n := len(out); n > 0 && iOpCmp(&out[n-1], &o) == 0 {
-				out[n-1].mass += o.mass
-			} else {
-				out = append(out, o)
-			}
-		}
-		in.ops = out
-	}
+	return out
 }
 
 // Profile materializes the interned form back to a canonical Profile.
@@ -647,77 +762,120 @@ func (in *Interned) Profile() *Profile {
 	return out
 }
 
-// unionSyms merges two sorted symbol tables. It returns the union and
-// per-input remap slices (old ID to union ID); a nil remap means that
-// input's IDs are already the union's. Equal tables — the hot case —
-// short-circuit to a few pointer-equal string compares and share a's
-// backing array, so tournament rounds over one fleet's snapshots never
-// rewrite a row.
-func unionSyms(a, b []string) (syms []string, amap, bmap []uint32) {
-	if len(a) == len(b) {
-		eq := true
-		for i := range a {
-			if a[i] != b[i] {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			return a, nil, nil
+// sameSyms reports whether two sorted symbol tables are equal. Tables
+// sharing a backing array — chunks of one merge, windows folded from
+// one another — answer without a string compare.
+func sameSyms(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
 		}
 	}
-	syms = make([]string, 0, len(a)+len(b))
-	amap = make([]uint32, len(a))
-	bmap = make([]uint32, len(b))
+	return true
+}
+
+// unionSorted merges two sorted symbol tables. Equal tables — the hot
+// case — return a itself, so tournament rounds over one fleet's
+// snapshots share one table and never rewrite a row.
+func unionSorted(a, b []string) []string {
+	if sameSyms(a, b) {
+		return a
+	}
+	syms := make([]string, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
 		case a[i] < b[j]:
-			amap[i] = uint32(len(syms))
 			syms = append(syms, a[i])
 			i++
 		case b[j] < a[i]:
-			bmap[j] = uint32(len(syms))
 			syms = append(syms, b[j])
 			j++
 		default:
-			id := uint32(len(syms))
-			amap[i], bmap[j] = id, id
 			syms = append(syms, a[i])
 			i++
 			j++
 		}
 	}
-	for ; i < len(a); i++ {
-		amap[i] = uint32(len(syms))
-		syms = append(syms, a[i])
-	}
-	for ; j < len(b); j++ {
-		bmap[j] = uint32(len(syms))
-		syms = append(syms, b[j])
-	}
-	// A same-length union means that input was a superset: the remap is
-	// the identity (both are sorted), so skip the row rewrite.
-	if len(syms) == len(a) {
-		amap = nil
-	}
-	if len(syms) == len(b) {
-		bmap = nil
-	}
-	return syms, amap, bmap
+	syms = append(syms, a[i:]...)
+	return append(syms, b[j:]...)
 }
 
-// remapped returns a copy of in with row IDs rewritten into the union
-// table. remap is monotonic (both tables are sorted), so row order is
-// preserved.
+// unionTables returns the sorted union of a fan-in's symbol tables.
+// Inputs whose table equals the first cost one compare pass each (a
+// pointer compare when shared); the distinct rest meet in a pairwise
+// tournament of linear merges, O(T log k) string compares for k
+// tables of T strings in all, however disjoint.
+func unionTables(live []*Interned) []string {
+	first := live[0].syms
+	round := [][]string{first}
+	for _, in := range live[1:] {
+		if !sameSyms(in.syms, first) {
+			round = append(round, in.syms)
+		}
+	}
+	for len(round) > 1 {
+		// Writing pair p into slot p never overtakes the reads at 2p.
+		next := round[:0]
+		for i := 0; i+1 < len(round); i += 2 {
+			next = append(next, unionSorted(round[i], round[i+1]))
+		}
+		if len(round)%2 == 1 {
+			next = append(next, round[len(round)-1])
+		}
+		round = next
+	}
+	return round[0]
+}
+
+// remapInto maps each ID of the sorted table sub onto its position in
+// union, a sorted superset. A nil remap means the IDs already agree: a
+// superset of equal length is the same table. Runs of consecutive
+// symbols cost one compare each; a gap costs one binary search, so a
+// small table against a large union stays O(m log U).
+func remapInto(sub, union []string) []uint32 {
+	if len(sub) == len(union) {
+		return nil
+	}
+	remap := make([]uint32, len(sub))
+	j := 0
+	for i, s := range sub {
+		if union[j] != s {
+			j += sort.SearchStrings(union[j:], s)
+		}
+		remap[i] = uint32(j)
+		j++
+	}
+	return remap
+}
+
+// unionSyms merges two sorted symbol tables, returning the union and
+// per-input remaps (old ID to union ID); a nil remap means that
+// input's IDs are already the union's.
+func unionSyms(a, b []string) (syms []string, amap, bmap []uint32) {
+	syms = unionSorted(a, b)
+	return syms, remapInto(a, syms), remapInto(b, syms)
+}
+
+// remapped returns a copy of in's rows with IDs rewritten into the
+// union table syms (remap nil: copied unchanged). remap is monotonic
+// (both tables are sorted), so row order is preserved.
 func (in *Interned) remapped(syms []string, remap []uint32) *Interned {
 	out := &Interned{
 		syms:      syms,
-		workloads: append([]iWorkload(nil), in.workloads...),
-		blocks:    append([]iBlock(nil), in.blocks...),
-		ops:       append([]iOp(nil), in.ops...),
+		workloads: slices.Clone(in.workloads),
+		blocks:    slices.Clone(in.blocks),
+		ops:       slices.Clone(in.ops),
 	}
-	out.remapIDs(remap)
+	if remap != nil {
+		out.remapIDs(remap)
+	}
 	return out
 }
 
@@ -733,46 +891,22 @@ func mergeInterned2(a, b *Interned) *Interned {
 	}
 	return &Interned{
 		syms:      syms,
-		workloads: merge2IWorkloads(a.workloads, b.workloads),
-		blocks:    merge2IBlocks(a.blocks, b.blocks),
-		ops:       merge2IOps(a.ops, b.ops),
+		workloads: merge2Rows(a.workloads, b.workloads),
+		blocks:    merge2Rows(a.blocks, b.blocks),
+		ops:       merge2Rows(a.ops, b.ops),
 	}
 }
 
-func merge2IWorkloads(a, b []iWorkload) []iWorkload {
+// merge2Rows merges two sorted sections into a fresh one, summing the
+// mass of equal keys.
+func merge2Rows[R keyed[R]](a, b []R) []R {
 	if len(a)+len(b) == 0 {
 		return nil
 	}
-	out := make([]iWorkload, 0, len(a)+len(b))
+	out := make([]R, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].name < b[j].name:
-			out = append(out, a[i])
-			i++
-		case b[j].name < a[i].name:
-			out = append(out, b[j])
-			j++
-		default:
-			m := a[i]
-			m.runs += b[j].runs
-			out = append(out, m)
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-func merge2IBlocks(a, b []iBlock) []iBlock {
-	if len(a)+len(b) == 0 {
-		return nil
-	}
-	out := make([]iBlock, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		c := iBlockCmp(&a[i], &b[j])
+		c := a[i].cmpKey(b[j])
 		switch {
 		case c < 0:
 			out = append(out, a[i])
@@ -781,36 +915,7 @@ func merge2IBlocks(a, b []iBlock) []iBlock {
 			out = append(out, b[j])
 			j++
 		default:
-			m := a[i]
-			m.count += b[j].count
-			out = append(out, m)
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-func merge2IOps(a, b []iOp) []iOp {
-	if len(a)+len(b) == 0 {
-		return nil
-	}
-	out := make([]iOp, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		c := iOpCmp(&a[i], &b[j])
-		switch {
-		case c < 0:
-			out = append(out, a[i])
-			i++
-		case c > 0:
-			out = append(out, b[j])
-			j++
-		default:
-			m := a[i]
-			m.mass += b[j].mass
-			out = append(out, m)
+			out = append(out, a[i].plus(b[j]))
 			i++
 			j++
 		}

@@ -207,7 +207,7 @@ func (s *Series) Save(dir string) error {
 	var buf []byte
 	for _, w := range s.windows {
 		var err error
-		if buf, err = profstore.AppendSave(buf[:0], w.prof); err != nil {
+		if buf, err = profstore.AppendSave(buf[:0], w.in.Profile()); err != nil {
 			return fmt.Errorf("tsstore: serializing window %s: %w", w.span, err)
 		}
 		name := windowFileName(w.span)
@@ -295,11 +295,11 @@ func Open(dir string) (*Series, error) {
 			return nil, fmt.Errorf("%w: window %s: checksum %08x, index says %08x",
 				ErrWindowMismatch, e.span, crc, e.crc)
 		}
-		p, err := profstore.LoadBytes(data)
+		in, err := profstore.LoadInterned(data)
 		if err != nil {
 			return nil, fmt.Errorf("tsstore: window %s: %w", e.span, err)
 		}
-		s.windows = append(s.windows, window{span: e.span, prof: p})
+		s.windows = append(s.windows, window{span: e.span, in: in})
 	}
 	// readIndex already rejects unsorted or overlapping entries, but
 	// assert the invariant the query path depends on anyway.

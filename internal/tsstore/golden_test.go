@@ -11,7 +11,7 @@ import (
 
 // TestGoldenV1SeriesByteIdentity pins the series directory format
 // against a committed v1 fixture: a store written before the interned
-// kernel and merge tree existed must open through them and re-save to
+// kernel existed must open into interned windows and re-save to
 // identical bytes, file for file — index and every window.
 func TestGoldenV1SeriesByteIdentity(t *testing.T) {
 	const fixture = "testdata/golden_v1_series"
@@ -50,8 +50,8 @@ func TestGoldenV1SeriesByteIdentity(t *testing.T) {
 		}
 	}
 
-	// The merge tree answers over fixture data exactly as a flat merge
-	// of every window does.
+	// Window answers over fixture data exactly as the flat reference
+	// merge of every materialized window does.
 	lo, hi, ok := s.Bounds()
 	if !ok {
 		t.Fatal("fixture series is empty")

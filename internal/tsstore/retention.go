@@ -107,7 +107,7 @@ func ParseRetention(spec string) (Retention, error) {
 // Downsample applies the retention ladder to the series given the
 // newest completed epoch. Windows older than a level's keep horizon
 // fold into that level's width-aligned buckets — each fold is one
-// profstore.Merge of whole windows, so the series' merged content is
+// profstore.MergeInterned of whole windows, so the series' merged content is
 // unchanged down to the bit, only its granularity coarsens. Returns
 // the number of merges performed (0 means the series already conformed
 // to the ladder). Folding only ever coarsens: epochs inside the raw
@@ -184,13 +184,13 @@ func (s *Series) foldLevel(width, horizon uint64) int {
 			i = j
 			continue
 		}
-		profs := make([]*profstore.Profile, 0, j-i)
+		ins := make([]*profstore.Interned, 0, j-i)
 		for k := i; k < j; k++ {
-			profs = append(profs, s.windows[k].prof)
+			ins = append(ins, s.windows[k].in)
 		}
 		out = append(out, window{
 			span: Span{Start: w.span.Start, End: s.windows[j-1].span.End},
-			prof: profstore.Merge(profs...),
+			in:   profstore.MergeInterned(ins...),
 		})
 		folds++
 		i = j

@@ -138,20 +138,21 @@ func (s *Series) Trend(opts TrendOptions) (*TrendReport, error) {
 		sl[wi] = share
 	}
 	for wi, w := range tail {
-		opTotal := float64(w.prof.TotalMass())
+		prof := w.in.Profile()
+		opTotal := float64(prof.TotalMass())
 		if opTotal > 0 {
-			for _, o := range w.prof.Ops {
+			for _, o := range prof.Ops {
 				at(seriesKey{TrendOp, o.Mnemonic, o.Ring}, wi, float64(o.Mass)/opTotal)
 			}
 		}
 		var blockTotal float64
-		for i := range w.prof.Blocks {
-			blockTotal += float64(w.prof.Blocks[i].Mass())
+		for i := range prof.Blocks {
+			blockTotal += float64(prof.Blocks[i].Mass())
 		}
 		if blockTotal > 0 {
 			fn := make(map[string]float64)
-			for i := range w.prof.Blocks {
-				b := &w.prof.Blocks[i]
+			for i := range prof.Blocks {
+				b := &prof.Blocks[i]
 				fn[fmt.Sprintf("%s/%s.%s", b.Unit, b.Module, b.Function)] += float64(b.Mass())
 			}
 			for name, mass := range fn {

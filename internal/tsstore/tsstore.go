@@ -5,14 +5,17 @@
 // question a continuous-profiling deployment actually asks.
 //
 // A [Series] is an epoch-indexed sequence of windows, each holding one
-// merged profstore profile for an inclusive epoch range. Profiles
-// append per epoch ([Series.AppendEpoch]); a retention ladder
-// ([Retention], [Series.Downsample]) folds old epochs into coarser
-// windows — e.g. keep the last 8 raw, then 4 epochs per window, then
-// 16 — bounding what a long-lived store or daemon holds; windowed
-// queries ([Series.Window]) merge any [since, until] range back into
-// one profile with one read-only profstore.Merge over the covered
-// windows; and [Series.Trend] flags ops and functions whose retirement
+// merged profstore profile for an inclusive epoch range, resident in
+// interned form (profstore.Interned) so that merging windows never
+// touches a string. Profiles append per epoch ([Series.AppendEpoch],
+// or [Series.AppendEpochInterned] without a string round trip); a
+// retention ladder ([Retention], [Series.Downsample]) folds old epochs
+// into coarser windows — e.g. keep the last 8 raw, then 4 epochs per
+// window, then 16 — bounding what a long-lived store or daemon holds;
+// windowed queries ([Series.Window]) merge any [since, until] range
+// back into one profile with one read-only profstore.MergeInterned
+// over the covered windows, materializing strings only for the
+// result; and [Series.Trend] flags ops and functions whose retirement
 // share moves monotonically across the last k windows.
 //
 // The store's keystone property is inherited from profstore and kept
@@ -34,6 +37,7 @@ package tsstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -63,10 +67,12 @@ func (s Span) String() string {
 }
 
 // window is one retained window: a span plus the merged profile of
-// every profile appended to an epoch inside it.
+// every profile appended to an epoch inside it, interned. Strings are
+// materialized only where a profile leaves the store: Window, At,
+// Trend and Save.
 type window struct {
 	span Span
-	prof *profstore.Profile
+	in   *profstore.Interned
 }
 
 // Series is an epoch-indexed profile store: non-overlapping windows in
@@ -101,20 +107,37 @@ func (s *Series) Bounds() (lo, hi uint64, ok bool) {
 }
 
 // At returns the merged profile of the i'th retained window (ascending
-// epoch order) and its span. The profile is the series' own copy;
-// callers must not mutate it.
+// epoch order) and its span. The profile is materialized per call and
+// is the caller's own.
 func (s *Series) At(i int) (*profstore.Profile, Span) {
-	return s.windows[i].prof, s.windows[i].span
+	return s.windows[i].in.Profile(), s.windows[i].span
 }
 
 // Clone returns a deep-enough copy: the window list is copied, the
-// profiles are shared. Safe because every mutation path in this
-// package replaces a window's profile (profstore.Merge allocates a
-// fresh result) rather than editing it in place, and Window only
-// reads: fleetserver clones under a lock and queries the clone
-// outside it.
+// interned profiles are shared. Safe because an Interned is immutable
+// and every mutation path in this package replaces a window's profile
+// (profstore.MergeInterned allocates a fresh result) rather than
+// editing it in place.
 func (s *Series) Clone() *Series {
-	return &Series{windows: append([]window(nil), s.windows...)}
+	return &Series{windows: slices.Clone(s.windows)}
+}
+
+// Range returns a series holding only the retained windows that
+// overlap [since, until], sharing their interned profiles as Clone
+// does: its Window over [since, until] answers exactly as the whole
+// series' does. since > until yields an empty series.
+func (s *Series) Range(since, until uint64) *Series {
+	if since > until {
+		return &Series{}
+	}
+	i, j := s.overlap(since, until)
+	return &Series{windows: slices.Clone(s.windows[i:j])}
+}
+
+// Covers reports whether a retained window contains epoch e.
+func (s *Series) Covers(e uint64) bool {
+	_, ok := s.locate(e)
+	return ok
 }
 
 // locate returns the index of the window containing epoch e, or
@@ -129,31 +152,42 @@ func (s *Series) locate(e uint64) (int, bool) {
 	return i, false
 }
 
-// AppendEpoch folds one profile into the series at epoch e. If e falls
-// inside an already-retained window — the common case is the newest
-// raw epoch receiving many per-run profiles, but a late arrival for an
-// epoch long since folded lands just as correctly — the profile merges
-// into that window; otherwise a new raw window [e, e] is inserted in
-// order. Nil profiles are ignored. The flat-merge invariant is
-// preserved either way: a query covering e always reflects every
-// profile ever appended at e.
+// AppendEpoch folds one profile into the series at epoch e: it interns
+// p once and appends it with AppendEpochInterned. Nil profiles are
+// ignored; p is not retained.
 func (s *Series) AppendEpoch(e uint64, p *profstore.Profile) {
 	if p == nil {
+		return
+	}
+	s.AppendEpochInterned(e, profstore.Intern(p))
+}
+
+// AppendEpochInterned folds one interned profile into the series at
+// epoch e. If e falls inside an already-retained window — the common
+// case is the newest raw epoch receiving many per-run profiles, but a
+// late arrival for an epoch long since folded lands just as correctly
+// — the profile merges into that window; otherwise a new raw window
+// [e, e] is inserted in order, holding in itself (an Interned is
+// immutable, so sharing it is safe). Nil profiles are ignored. The
+// flat-merge invariant is preserved either way: a query covering e
+// always reflects every profile ever appended at e.
+func (s *Series) AppendEpochInterned(e uint64, in *profstore.Interned) {
+	if in == nil {
 		return
 	}
 	epochAppends.Inc()
 	i, ok := s.locate(e)
 	if ok {
-		s.windows[i].prof = profstore.Merge(s.windows[i].prof, p)
+		s.windows[i].in = profstore.MergeInterned(s.windows[i].in, in)
 		return
 	}
-	s.windows = append(s.windows, window{})
-	copy(s.windows[i+1:], s.windows[i:])
-	s.windows[i] = window{span: Span{Start: e, End: e}, prof: profstore.Merge(p)}
+	s.windows = slices.Insert(s.windows, i, window{span: Span{Start: e, End: e}, in: in})
 }
 
 // Window merges every retained window overlapping [since, until] into
 // one canonical profile, returning it with the spans that contributed.
+// The merge is one profstore.MergeInterned over the covered windows;
+// only its result is materialized to strings.
 // The result is bit-identical to the flat profstore.Merge of every
 // profile appended to those spans; it equals the flat merge of exactly
 // the epochs [since, until] when the bounds align with retained window
@@ -169,22 +203,29 @@ func (s *Series) Window(since, until uint64) (*profstore.Profile, []Span) {
 	windowQueries.Inc()
 	t0 := time.Now()
 	defer windowWall.ObserveSince(t0)
-	i, _ := s.locate(since)
-	j := i
-	for j < len(s.windows) && s.windows[j].span.Start <= until {
-		j++
-	}
+	i, j := s.overlap(since, until)
 	if i == j {
 		return &profstore.Profile{}, nil
 	}
 	windowSpans.Observe(int64(j - i))
 	spans := make([]Span, j-i)
-	profs := make([]*profstore.Profile, j-i)
+	ins := make([]*profstore.Interned, j-i)
 	for k := i; k < j; k++ {
 		spans[k-i] = s.windows[k].span
-		profs[k-i] = s.windows[k].prof
+		ins[k-i] = s.windows[k].in
 	}
-	return profstore.Merge(profs...), spans
+	return profstore.MergeInterned(ins...).Profile(), spans
+}
+
+// overlap returns the index range [i, j) of the windows overlapping
+// [since, until]; the caller ensures since <= until.
+func (s *Series) overlap(since, until uint64) (i, j int) {
+	i, _ = s.locate(since)
+	j = i
+	for j < len(s.windows) && s.windows[j].span.Start <= until {
+		j++
+	}
+	return i, j
 }
 
 // Merged returns the merge of the whole series — the flat fleet

@@ -324,9 +324,9 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-// windowFlat is the reference implementation Window's merge tree must
-// agree with byte-for-byte: a linear collect of every overlapping
-// window and one flat merge.
+// windowFlat is the reference implementation Window must agree with
+// byte-for-byte: a linear collect of every overlapping window,
+// materialized, and one flat string-keyed profstore.Merge.
 func (s *Series) windowFlat(since, until uint64) *profstore.Profile {
 	if since > until {
 		return &profstore.Profile{}
@@ -334,15 +334,15 @@ func (s *Series) windowFlat(since, until uint64) *profstore.Profile {
 	var profs []*profstore.Profile
 	i, _ := s.locate(since)
 	for ; i < len(s.windows) && s.windows[i].span.Start <= until; i++ {
-		profs = append(profs, s.windows[i].prof)
+		profs = append(profs, s.windows[i].in.Profile())
 	}
 	return profstore.Merge(profs...)
 }
 
-// TestMergeTreeMatchesFlatMerge pins the memoized merge tree to the
-// flat merge it decomposes: every query shape — small and large,
-// repeated (memo hits), interleaved with appends and downsampling that
-// must invalidate the tree — serializes identically to the linear
+// TestMergeTreeMatchesFlatMerge pins Window's interned merge to the
+// flat string-keyed reference merge: every query shape — small and
+// large, repeated, interleaved with appends and downsampling that
+// reshape the window list — serializes identically to the linear
 // reference.
 func TestMergeTreeMatchesFlatMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -363,8 +363,8 @@ func TestMergeTreeMatchesFlatMerge(t *testing.T) {
 			if !bytes.Equal(profileBytes(t, got), profileBytes(t, want)) {
 				t.Errorf("%s: Window(%d,%d) diverges from flat merge", stage, q[0], q[1])
 			}
-			// Ask again: the second answer comes mostly from memoized
-			// nodes and must not drift.
+			// Ask again: a query only reads the series, so the second
+			// answer must not drift.
 			again, _ := s.Window(q[0], q[1])
 			if !bytes.Equal(profileBytes(t, again), profileBytes(t, want)) {
 				t.Errorf("%s: repeated Window(%d,%d) diverges", stage, q[0], q[1])
@@ -373,19 +373,20 @@ func TestMergeTreeMatchesFlatMerge(t *testing.T) {
 	}
 	check("raw")
 
-	// An append into the middle of the queried range must invalidate
-	// the memoized nodes covering it.
+	// An append into the middle of the queried range must show up in
+	// every query covering it.
 	s.AppendEpoch(20, epochProfile(rng, 20))
 	check("after mid-range append")
 
-	// Downsampling rebuilds the window list; stale nodes must go.
+	// Downsampling rebuilds the window list from folded windows.
 	if s.Downsample(DefaultRetention(), 47) == 0 {
 		t.Fatal("downsample folded nothing")
 	}
 	check("after downsample")
 
-	// A clone must not share memoization state with the original: query
-	// the clone, mutate the original, and re-check both.
+	// A clone shares the original's immutable windows but not its
+	// window list: query the clone, mutate the original, and re-check
+	// both.
 	c := s.Clone()
 	cw, _ := c.Window(0, 47)
 	s.AppendEpoch(48, epochProfile(rng, 48))
