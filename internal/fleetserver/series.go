@@ -1,6 +1,8 @@
 package fleetserver
 
 import (
+	"math"
+
 	"hbbp/internal/profstore"
 	"hbbp/internal/tsstore"
 )
@@ -73,6 +75,28 @@ func (s *Server) roll(t *tenant, epoch uint64) {
 // an unknown tenant. The returned series is the caller's own — safe
 // to downsample, save or query without further locking.
 func (s *Server) SeriesSnapshot(tenantName string) *tsstore.Series {
+	return s.axis(tenantName, 0, math.MaxUint64)
+}
+
+// Window merges the tenant's state over the inclusive epoch range
+// [since, until] — rolled windows and live epochs alike — into one
+// canonical profile, returning the spans that contributed. The result
+// is bit-identical to SeriesSnapshot(tenantName).Window(since, until),
+// and so to the flat profstore.Merge of every acked profile in those
+// spans. A nil profile is never returned; an empty overlap (or unknown
+// tenant) yields an empty profile and no spans.
+func (s *Server) Window(tenantName string, since, until uint64) (*profstore.Profile, []tsstore.Span) {
+	return s.axis(tenantName, since, until).Window(since, until)
+}
+
+// axis collects the part of the tenant's time axis that overlaps
+// [since, until] into a series the caller owns: the rolled windows
+// overlapping the range (shared, not copied — windows are immutable)
+// plus snapshots of the live epochs that land in them, which are the
+// epochs inside the range and late epochs inside an overlapping rolled
+// window. Only this collection runs under the tenant lock; merging is
+// left to the caller. An unknown tenant yields an empty series.
+func (s *Server) axis(tenantName string, since, until uint64) *tsstore.Series {
 	s.mu.Lock()
 	t := s.tenants[tenantName]
 	s.mu.Unlock()
@@ -83,46 +107,14 @@ func (s *Server) SeriesSnapshot(tenantName string) *tsstore.Series {
 	defer t.mu.Unlock()
 	var out *tsstore.Series
 	if t.series != nil {
-		out = t.series.Clone()
+		out = t.series.Range(since, until)
 	} else {
 		out = &tsstore.Series{}
 	}
 	for e, ent := range t.epochs {
-		out.AppendEpochInterned(e, ent.agg.SnapshotInterned())
-	}
-	return out
-}
-
-// Window merges the tenant's state over the inclusive epoch range
-// [since, until] — rolled windows and live epochs alike — into one
-// canonical profile, returning the spans that contributed. The result
-// is bit-identical to SeriesSnapshot(tenantName).Window(since, until),
-// and so to the flat profstore.Merge of every acked profile in those
-// spans. A nil profile is never returned; an empty overlap (or unknown
-// tenant) yields an empty profile and no spans.
-//
-// Only what the range needs is taken under the tenant lock: the series
-// windows overlapping [since, until] (shared, not copied — windows are
-// immutable) and snapshots of the live epochs that land in them, which
-// are the epochs inside the range plus late epochs inside an
-// overlapping rolled window. The merge runs after the lock is dropped.
-func (s *Server) Window(tenantName string, since, until uint64) (*profstore.Profile, []tsstore.Span) {
-	s.mu.Lock()
-	t := s.tenants[tenantName]
-	s.mu.Unlock()
-	if t == nil || since > until {
-		return &profstore.Profile{}, nil
-	}
-	t.mu.Lock()
-	sub := &tsstore.Series{}
-	if t.series != nil {
-		sub = t.series.Range(since, until)
-	}
-	for e, ent := range t.epochs {
-		if (since <= e && e <= until) || sub.Covers(e) {
-			sub.AppendEpochInterned(e, ent.agg.SnapshotInterned())
+		if (since <= e && e <= until) || out.Covers(e) {
+			out.AppendEpochInterned(e, ent.agg.SnapshotInterned())
 		}
 	}
-	t.mu.Unlock()
-	return sub.Window(since, until)
+	return out
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hbbp/internal/profstore"
+	"hbbp/internal/telemetry"
 	"hbbp/internal/tsstore"
 )
 
@@ -310,6 +311,26 @@ func TestWindowDuringIngest(t *testing.T) {
 			return
 		default:
 			s.Window("acme", 0, epochs)
+		}
+	}
+}
+
+// TestWindowCountsEveryQuery pins hbbp_tsstore_window_queries_total to
+// one count per Server.Window call with a non-inverted range — for a
+// known tenant and for an unknown one alike, whose answer is the empty
+// series' empty window.
+func TestWindowCountsEveryQuery(t *testing.T) {
+	queries := telemetry.Default().Counter("hbbp_tsstore_window_queries_total", "Windowed queries answered.")
+	s := startServer(t, Config{})
+	sendEpochs(t, s, "acme", 2, 1, 2)
+	for _, tenant := range []string{"acme", "nobody"} {
+		before := queries.Value()
+		p, spans := s.Window(tenant, 0, 10)
+		if got := queries.Value() - before; got != 1 {
+			t.Errorf("Window(%q): window queries rose by %d, want 1", tenant, got)
+		}
+		if tenant == "nobody" && (len(p.Blocks) != 0 || spans != nil) {
+			t.Errorf("Window(unknown tenant) = %d blocks, spans %v; want empty", len(p.Blocks), spans)
 		}
 	}
 }

@@ -254,8 +254,10 @@ func (in *Interned) rows() int { return len(in.workloads) + len(in.blocks) + len
 // each input translated through its remap onto the union on the fly.
 // The same growth cap as the profile fold seals the accumulator into
 // a chunk for the pairwise tournament when keys are disjoint.
+//
+// hbbp_profstore_merge_total counts [Merge] calls only: it records
+// which kernel a profile fan-in took, and MergeInterned has one.
 func MergeInterned(ins ...*Interned) *Interned {
-	mergeViaInterned.Inc()
 	live := make([]*Interned, 0, len(ins))
 	maxRows := 0
 	for _, in := range ins {
@@ -346,9 +348,12 @@ func foldRows[R row[R]](a, src []R, remap []uint32, scratch *[]R) []R {
 }
 
 // foldBlockRows is foldRows hand-specialized for the block section.
-// Blocks are the bulk of every profile, and calling the key compare
-// and mass add through the generic constraint costs ~1.7x on the
-// window-merge benchmark, so this one section pays for its own copy.
+// Blocks are the bulk of every profile, and the generic fold reaches
+// the key compare and mass add through the constraint's dictionary,
+// not inlined: taking foldRows for blocks measured 1.73x on
+// BenchmarkSeriesWindow and 1.94x on BenchmarkServerWindow (10
+// alternating rounds, EXPERIMENTS.md), so this one section pays for
+// its own copy.
 func foldBlockRows(a, src []iBlock, remap []uint32, scratch *[]iBlock) []iBlock {
 	ai := 0
 	for i := range src {
@@ -490,7 +495,9 @@ type folder struct {
 func (f *folder) fold(p *Profile) {
 	// Workloads and ops are a few dozen rows: translate them into
 	// reused buffers and take the interned fold. Blocks are the bulk of
-	// every profile, so they fold straight from the string rows.
+	// every profile, so they fold straight from the string rows:
+	// translating them into a buffer for foldBlockRows first measured
+	// 1.24x on BenchmarkMerge1000Profiles (EXPERIMENTS.md).
 	f.bufW = appendIWorkloads(f.bufW[:0], p.Workloads, f.tab, false)
 	f.acc.workloads = foldRows(f.acc.workloads, f.bufW, nil, &f.scratchW)
 	f.acc.blocks = f.foldBlocks(f.acc.blocks, p.Blocks)
