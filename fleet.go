@@ -99,12 +99,14 @@ func DiffProfiles(before, after *StoredProfile, threshold float64) *ProfileDiff 
 
 // Aggregator merges profiles online: any number of goroutines —
 // typically concurrent [Session.Profile] runs — ingest results while
-// readers take consistent snapshots. Internally the mass lives in
-// lock-striped shards, so ingestion scales with cores; a snapshot
-// reflects every ingest that returned before the call and never a
-// partial one, and is bit-identical to [MergeProfiles] over the same
-// profiles at any ingestion parallelism. Construct with
-// [NewAggregator]; the zero value is not usable.
+// readers take consistent snapshots. Internally an ingest interns the
+// profile and queues it behind one merged prefix, and the queue is
+// compacted into the prefix by the same exact integer fold every
+// other merge uses; a snapshot reflects every ingest that returned
+// before the call and never a partial one, and is bit-identical to
+// [MergeProfiles] over the same profiles at any ingestion
+// parallelism. Construct with [NewAggregator]; the zero value is not
+// usable.
 type Aggregator struct {
 	inner *profstore.Aggregator
 }
@@ -133,8 +135,8 @@ func (a *Aggregator) Merge(sp *StoredProfile) {
 }
 
 // Snapshot returns the merged view of everything ingested so far
-// without stopping ingestion: the aggregate is copied out under a
-// brief exclusive section and canonicalized outside it.
+// without stopping ingestion: the prefix and queue references are
+// copied under the aggregator's lock and merged outside it.
 func (a *Aggregator) Snapshot() *StoredProfile {
 	return a.inner.Snapshot()
 }

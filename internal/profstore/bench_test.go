@@ -2,6 +2,7 @@ package profstore
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -66,6 +67,37 @@ func benchmarkIngest(b *testing.B, writers int) {
 func BenchmarkAggregatorIngest1Writers(b *testing.B)  { benchmarkIngest(b, 1) }
 func BenchmarkAggregatorIngest8Writers(b *testing.B)  { benchmarkIngest(b, 8) }
 func BenchmarkAggregatorIngest64Writers(b *testing.B) { benchmarkIngest(b, 64) }
+
+// BenchmarkAggregatorIngestDisjoint measures one epoch of many
+// disjoint units: each op ingests 1,000 interned profiles, each its
+// own unit (300 blocks, 48 ops), into a fresh aggregator and takes one
+// SnapshotInterned. Every profile brings new keys, so this is the
+// regime where folding each ingest into one growing accumulator goes
+// quadratic.
+func BenchmarkAggregatorIngestDisjoint(b *testing.B) {
+	profiles := benchProfiles(1000)
+	ins := make([]*Interned, len(profiles))
+	for i, p := range profiles {
+		unit := fmt.Sprintf("unit-%04d", i)
+		p = p.Clone()
+		p.Workloads[0].Name = unit
+		for j := range p.Blocks {
+			p.Blocks[j].Unit = unit
+		}
+		ins[i] = Intern(p)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agg := NewAggregator()
+		for _, in := range ins {
+			agg.IngestInterned(in)
+		}
+		if s := agg.SnapshotInterned(); s.rows() == 0 {
+			b.Fatal("empty snapshot")
+		}
+	}
+}
 
 // BenchmarkMerge1000Profiles measures the offline fleet merge: one
 // thousand single-run profiles into one canonical fleet profile.

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -255,8 +254,9 @@ func (in *Interned) rows() int { return len(in.workloads) + len(in.blocks) + len
 // The same growth cap as the profile fold seals the accumulator into
 // a chunk for the pairwise tournament when keys are disjoint.
 //
-// hbbp_profstore_merge_total counts [Merge] calls only: it records
-// which kernel a profile fan-in took, and MergeInterned has one.
+// hbbp_profstore_merge_total counts [Merge] calls only: the fleet
+// tier's epoch compactions, window queries and retention folds all
+// run MergeInterned and are not counted.
 func MergeInterned(ins ...*Interned) *Interned {
 	live := make([]*Interned, 0, len(ins))
 	maxRows := 0
@@ -674,28 +674,6 @@ func appendIOps(dst []iOp, src []OpMass, tab *symLookup, dropZero bool) []iOp {
 		dst = append(dst, iOp{mnemonic: prevID, ring: o.Ring, mass: o.Mass})
 	}
 	return dst
-}
-
-// sortSyms sorts the symbol table and rewrites every row ID through
-// the resulting permutation.
-func (in *Interned) sortSyms() {
-	n := len(in.syms)
-	if n == 0 {
-		return
-	}
-	perm := make([]uint32, n)
-	for i := range perm {
-		perm[i] = uint32(i)
-	}
-	slices.SortFunc(perm, func(i, j uint32) int { return strings.Compare(in.syms[i], in.syms[j]) })
-	sorted := make([]string, n)
-	remap := make([]uint32, n)
-	for rank, old := range perm {
-		sorted[rank] = in.syms[old]
-		remap[old] = uint32(rank)
-	}
-	in.syms = sorted
-	in.remapIDs(remap)
 }
 
 // remapIDs rewrites every row's symbol IDs through remap, in place.

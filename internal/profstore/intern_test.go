@@ -104,21 +104,86 @@ func TestMergeInternedMatchesMerge(t *testing.T) {
 }
 
 // TestSnapshotInternedMatchesSnapshot pins the aggregator's interned
-// snapshot to its materialized one and to the offline merge.
+// snapshot to its materialized one and to the offline merge, over a
+// short random stream and over streams that cross the compaction point
+// several times, ingested alternately as profiles and interned.
 func TestSnapshotInternedMatchesSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	agg := NewAggregator()
-	var profiles []*Profile
-	for i := 0; i < 50; i++ {
-		p := randomProfile(rng)
-		profiles = append(profiles, p)
-		if i%2 == 0 {
-			agg.Ingest(p)
-		} else {
+	random := make([]*Profile, 50)
+	for i := range random {
+		random[i] = randomProfile(rng)
+	}
+	sets := compactionSets(rng)
+	sets["random"] = random
+	for name, profiles := range sets {
+		agg := NewAggregator()
+		for i, p := range profiles {
+			if i%2 == 0 {
+				agg.Ingest(p)
+			} else {
+				agg.IngestInterned(Intern(p))
+			}
+		}
+		want := Merge(profiles...)
+		equalProfiles(t, name+": SnapshotInterned", agg.SnapshotInterned().Profile(), want)
+		equalProfiles(t, name+": Snapshot", agg.Snapshot(), want)
+	}
+}
+
+// TestSnapshotUnchangedByLaterIngests pins that a snapshot is the
+// caller's to keep: the aggregator shares its merged prefix and its
+// queued profiles with the snapshots it hands out, so no later ingest
+// or compaction may write to them. Snapshots are taken right after
+// every compaction (the prefix itself), after the first ingest (a lone
+// queued profile) and every 16th ingest (a fresh merge), and each
+// still serializes to its original bytes once every stream has gone
+// through several compactions. A second goroutine snapshots throughout,
+// so under -race every compaction can overlap a snapshot merging the
+// queue outside the lock.
+func TestSnapshotUnchangedByLaterIngests(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	type taken struct {
+		snap  *Interned
+		bytes []byte
+	}
+	take := func(agg *Aggregator) taken {
+		s := agg.SnapshotInterned()
+		b, err := AppendSave(nil, s.Profile())
+		if err != nil {
+			panic(err)
+		}
+		return taken{s, b}
+	}
+	for name, profiles := range compactionSets(rng) {
+		agg := NewAggregator()
+		done := make(chan struct{})
+		concurrent := make(chan []taken)
+		go func() {
+			var out []taken
+			for {
+				select {
+				case <-done:
+					concurrent <- out
+					return
+				default:
+					out = append(out, take(agg))
+				}
+			}
+		}()
+		var snaps []taken
+		for i, p := range profiles {
+			before := agg.prefix
 			agg.IngestInterned(Intern(p))
+			if agg.prefix != before || i%16 == 0 {
+				snaps = append(snaps, take(agg))
+			}
+		}
+		close(done)
+		snaps = append(snaps, <-concurrent...)
+		for i, s := range snaps {
+			if string(mustBytes(t, s.snap.Profile())) != string(s.bytes) {
+				t.Fatalf("%s: snapshot %d changed under later ingests", name, i)
+			}
 		}
 	}
-	want := Merge(profiles...)
-	equalProfiles(t, "SnapshotInterned", agg.SnapshotInterned().Profile(), want)
-	equalProfiles(t, "Snapshot", agg.Snapshot(), want)
 }

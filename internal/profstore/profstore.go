@@ -30,8 +30,9 @@
 //     external fleet tooling unchanged.
 //
 // [Merge] combines profiles offline; [Aggregator] does the same online
-// under concurrent ingestion with lock-striped shards; [Diff] compares
-// two merged views and flags per-op share regressions.
+// under concurrent ingestion, as a queue of immutable interned
+// profiles compacted by the same fold; [Diff] compares two merged
+// views and flags per-op share regressions.
 package profstore
 
 import (
@@ -41,15 +42,11 @@ import (
 	"hbbp/internal/telemetry"
 )
 
-// Merge-path counters: which kernel a Merge call took. The fast path
-// handles registration once at init; the per-call cost is one atomic
-// add, so instrumenting the merge kernel does not move its benchmark.
-var (
-	mergeTwoPointer = telemetry.Default().Counter("hbbp_profstore_merge_total",
-		"Merge calls by kernel path.", "path", "two_pointer")
-	mergeViaInterned = telemetry.Default().Counter("hbbp_profstore_merge_total",
-		"Merge calls by kernel path.", "path", "interned")
-)
+// mergeCalls counts Merge calls. Registration happens once at init;
+// the per-call cost is one atomic add, so instrumenting the merge
+// kernel does not move its benchmark.
+var mergeCalls = telemetry.Default().Counter("hbbp_profstore_merge_total",
+	"Merge calls (offline profile fan-ins).")
 
 // Ring is the privilege level a block executes in, mirroring the
 // program model's rings without importing it (this package is
@@ -290,145 +287,8 @@ func Merge(profiles ...*Profile) *Profile {
 			live = append(live, p)
 		}
 	}
-	// Tiny canonical fan-ins skip the interning machinery: a left fold
-	// of linear two-way string-key merges beats paying the symbol-table
-	// setup per call (the per-epoch accumulate path merges two small
-	// profiles at a time; retention folds a handful). Identical integer
-	// sums in identical key order — associativity makes the fold
-	// bit-for-bit what the interned tournament gives.
-	if n := len(live); n >= 1 && n <= smallMergeFanIn {
-		canonical := true
-		for _, p := range live {
-			if !isCanonical(p) {
-				canonical = false
-				break
-			}
-		}
-		if canonical {
-			mergeTwoPointer.Inc()
-			if n == 1 {
-				return live[0].Clone()
-			}
-			out := merge2Canonical(live[0], live[1])
-			for _, p := range live[2:] {
-				out = merge2Canonical(out, p)
-			}
-			return out
-		}
-	}
-	mergeViaInterned.Inc()
+	mergeCalls.Inc()
 	return mergeProfilesInterned(live).Profile()
-}
-
-// smallMergeFanIn is the largest all-canonical fan-in Merge folds with
-// direct two-way merges instead of the interned tournament. Above it
-// the shared symbol table starts paying for itself.
-const smallMergeFanIn = 4
-
-// merge2Canonical merges two canonical profiles with linear two-pointer
-// walks over string keys — no symbol table, one allocation per section.
-// Summed rows are kept as the interned merges keep them, so both paths
-// emit identical bytes.
-func merge2Canonical(a, b *Profile) *Profile {
-	out := &Profile{}
-	if n := len(a.Workloads) + len(b.Workloads); n > 0 {
-		out.Workloads = make([]WorkloadWeight, 0, n)
-		i, j := 0, 0
-		for i < len(a.Workloads) && j < len(b.Workloads) {
-			switch {
-			case a.Workloads[i].Name < b.Workloads[j].Name:
-				out.Workloads = append(out.Workloads, a.Workloads[i])
-				i++
-			case b.Workloads[j].Name < a.Workloads[i].Name:
-				out.Workloads = append(out.Workloads, b.Workloads[j])
-				j++
-			default:
-				w := a.Workloads[i]
-				w.Runs += b.Workloads[j].Runs
-				out.Workloads = append(out.Workloads, w)
-				i++
-				j++
-			}
-		}
-		out.Workloads = append(out.Workloads, a.Workloads[i:]...)
-		out.Workloads = append(out.Workloads, b.Workloads[j:]...)
-	}
-	if n := len(a.Blocks) + len(b.Blocks); n > 0 {
-		out.Blocks = make([]Block, 0, n)
-		i, j := 0, 0
-		for i < len(a.Blocks) && j < len(b.Blocks) {
-			switch {
-			case blockKeyLess(&a.Blocks[i], &b.Blocks[j]):
-				out.Blocks = append(out.Blocks, a.Blocks[i])
-				i++
-			case blockKeyLess(&b.Blocks[j], &a.Blocks[i]):
-				out.Blocks = append(out.Blocks, b.Blocks[j])
-				j++
-			default:
-				blk := a.Blocks[i]
-				blk.Count += b.Blocks[j].Count
-				out.Blocks = append(out.Blocks, blk)
-				i++
-				j++
-			}
-		}
-		out.Blocks = append(out.Blocks, a.Blocks[i:]...)
-		out.Blocks = append(out.Blocks, b.Blocks[j:]...)
-	}
-	if n := len(a.Ops) + len(b.Ops); n > 0 {
-		out.Ops = make([]OpMass, 0, n)
-		i, j := 0, 0
-		for i < len(a.Ops) && j < len(b.Ops) {
-			switch {
-			case opKeyLess(&a.Ops[i], &b.Ops[j]):
-				out.Ops = append(out.Ops, a.Ops[i])
-				i++
-			case opKeyLess(&b.Ops[j], &a.Ops[i]):
-				out.Ops = append(out.Ops, b.Ops[j])
-				j++
-			default:
-				o := a.Ops[i]
-				o.Mass += b.Ops[j].Mass
-				out.Ops = append(out.Ops, o)
-				i++
-				j++
-			}
-		}
-		out.Ops = append(out.Ops, a.Ops[i:]...)
-		out.Ops = append(out.Ops, b.Ops[j:]...)
-	}
-	return out
-}
-
-// isCanonical reports whether p is already in canonical form: every
-// section strictly ascending in key order (which implies unique keys)
-// with no zero-mass entries.
-func isCanonical(p *Profile) bool {
-	for i := range p.Workloads {
-		if p.Workloads[i].Runs == 0 {
-			return false
-		}
-		if i > 0 && p.Workloads[i-1].Name >= p.Workloads[i].Name {
-			return false
-		}
-	}
-	for i := range p.Blocks {
-		if p.Blocks[i].Count == 0 {
-			return false
-		}
-		if i > 0 && !blockKeyLess(&p.Blocks[i-1], &p.Blocks[i]) {
-			return false
-		}
-	}
-	for i := range p.Ops {
-		if p.Ops[i].Mass == 0 {
-			return false
-		}
-		if i > 0 && !opKeyLess(&p.Ops[i-1], &p.Ops[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Canonical normalizes a hand-assembled profile: duplicate keys are

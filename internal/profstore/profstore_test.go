@@ -2,6 +2,7 @@ package profstore
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -232,22 +233,77 @@ func ingestConcurrently(agg *Aggregator, profiles []*Profile, writers int) {
 	wg.Wait()
 }
 
+// compactionSets returns profile streams long enough to cross the
+// aggregator's compaction point several times: disjoint units (the
+// prefix doubles at every compaction), profiles that bring new symbols
+// mid-stream (the table grows while the queue fills), and repeats of
+// one profile (every compaction folds equal keys).
+func compactionSets(rng *rand.Rand) map[string][]*Profile {
+	disjoint := make([]*Profile, 800)
+	for i := range disjoint {
+		disjoint[i] = disjointProfile(rng, i)
+	}
+	newSyms := make([]*Profile, 600)
+	for i := range newSyms {
+		p := randomProfile(rng).Clone()
+		tag := fmt.Sprintf("@%d", i/40)
+		if len(p.Blocks) > 0 {
+			p.Blocks[0].Function += tag
+		}
+		if len(p.Ops) > 0 {
+			p.Ops[0].Mnemonic += tag
+		}
+		newSyms[i] = Canonical(p)
+	}
+	one := randomProfile(rng)
+	repeats := make([]*Profile, 400)
+	for i := range repeats {
+		repeats[i] = one
+	}
+	return map[string][]*Profile{"disjoint units": disjoint, "new symbols mid-stream": newSyms, "repeats": repeats}
+}
+
+// compactions ingests profiles one at a time into a fresh aggregator
+// and counts how often it folded its queue into the prefix.
+func compactions(profiles []*Profile) int {
+	agg := NewAggregator()
+	n := 0
+	for _, p := range profiles {
+		before := agg.prefix
+		agg.Ingest(p)
+		if agg.prefix != before {
+			n++
+		}
+	}
+	return n
+}
+
 // TestAggregatorMatchesMergeAtAnyParallelism pins the tentpole
 // invariant: an Aggregator snapshot is bit-identical to the offline
 // Merge of the same profiles, whether one goroutine ingested them or
-// eight did. Run under -race this also proves the lock striping
-// actually synchronizes the shards.
+// eight did — for a short random stream and for streams that cross the
+// compaction point several times. Run under -race this also proves the
+// one mutex orders ingests against the queue and its compactions.
 func TestAggregatorMatchesMergeAtAnyParallelism(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	profiles := make([]*Profile, 64)
-	for i := range profiles {
-		profiles[i] = randomProfile(rng)
+	random := make([]*Profile, 64)
+	for i := range random {
+		random[i] = randomProfile(rng)
 	}
-	want := Merge(profiles...)
-	for _, writers := range []int{1, 8} {
-		agg := NewAggregator()
-		ingestConcurrently(agg, profiles, writers)
-		equalProfiles(t, "snapshot vs merge", agg.Snapshot(), want)
+	sets := compactionSets(rng)
+	for name, profiles := range sets {
+		if n := compactions(profiles); n < 3 {
+			t.Fatalf("%s: %d compactions, want at least 3", name, n)
+		}
+	}
+	sets["random"] = random
+	for name, profiles := range sets {
+		want := Merge(profiles...)
+		for _, writers := range []int{1, 8} {
+			agg := NewAggregator()
+			ingestConcurrently(agg, profiles, writers)
+			equalProfiles(t, fmt.Sprintf("%s, %d writers: snapshot vs merge", name, writers), agg.Snapshot(), want)
+		}
 	}
 }
 
