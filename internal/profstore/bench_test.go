@@ -112,6 +112,22 @@ func BenchmarkMerge1000Profiles(b *testing.B) {
 	}
 }
 
+// BenchmarkAppendSave measures the client-side encode of one
+// single-run profile (300 blocks, 48 ops): its translation to interned
+// form plus the flat dump, into a reused buffer.
+func BenchmarkAppendSave(b *testing.B) {
+	p := benchProfiles(1)[0]
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, err = AppendSave(buf[:0], p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSnapshot measures snapshot cost on a loaded aggregator —
 // the pause ingestion pays when a reader asks for the fleet view.
 func BenchmarkSnapshot(b *testing.B) {

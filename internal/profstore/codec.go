@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // prealloc bounds an up-front slice capacity claimed by a section
@@ -385,20 +386,23 @@ func LoadInterned(data []byte) (*Interned, error) {
 		return in, nil
 	}
 	// A stream some other writer produced: unsorted table or rows,
-	// duplicate strings, zero masses. Materialize and re-intern, which
-	// canonicalizes — exactly what the accepting fuzz property demands.
+	// duplicate or unreferenced strings, zero masses. Materialize and
+	// re-intern, which canonicalizes — exactly what the accepting fuzz
+	// property demands.
 	return Intern(in.Profile()), nil
 }
 
 // isCanonicalInterned verifies the decode-side invariants the fast
 // path relies on: a strictly-ascending symbol table (sorted + unique,
-// so ID order is string order) and strictly-ascending, zero-free rows.
+// so ID order is string order) holding only strings some row names,
+// and strictly-ascending, zero-free rows.
 func (in *Interned) isCanonicalInterned() bool {
 	for i := 1; i < len(in.syms); i++ {
 		if in.syms[i-1] >= in.syms[i] {
 			return false
 		}
 	}
+	used := make([]bool, len(in.syms))
 	for i := range in.workloads {
 		if in.workloads[i].runs == 0 {
 			return false
@@ -406,14 +410,17 @@ func (in *Interned) isCanonicalInterned() bool {
 		if i > 0 && in.workloads[i-1].name >= in.workloads[i].name {
 			return false
 		}
+		used[in.workloads[i].name] = true
 	}
 	for i := range in.blocks {
-		if in.blocks[i].count == 0 {
+		b := &in.blocks[i]
+		if b.count == 0 {
 			return false
 		}
-		if i > 0 && iBlockCmp(&in.blocks[i-1], &in.blocks[i]) >= 0 {
+		if i > 0 && iBlockCmp(&in.blocks[i-1], b) >= 0 {
 			return false
 		}
+		used[b.unit], used[b.module], used[b.function] = true, true, true
 	}
 	for i := range in.ops {
 		if in.ops[i].mass == 0 {
@@ -422,6 +429,7 @@ func (in *Interned) isCanonicalInterned() bool {
 		if i > 0 && iOpCmp(&in.ops[i-1], &in.ops[i]) >= 0 {
 			return false
 		}
+		used[in.ops[i].mnemonic] = true
 	}
-	return true
+	return !slices.Contains(used, false)
 }

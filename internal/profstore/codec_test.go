@@ -212,6 +212,29 @@ func TestLoadRejectsBadStringIndex(t *testing.T) {
 	}
 }
 
+// TestLoadDropsUnreferencedStrings pins that a stream whose string
+// table names a string no row references — sorted, unique and
+// otherwise canonical — loads with a dense table, so re-saving it
+// writes the bytes Save gives the same profile.
+func TestLoadDropsUnreferencedStrings(t *testing.T) {
+	// Strings "u" and "w"; one workload naming "w"; no blocks or ops.
+	stream := corrupt(2, 1, 'u', 1, 'w', 1, 1, 1, 0, 0)
+	in, err := LoadInterned(stream)
+	if err != nil {
+		t.Fatalf("LoadInterned: %v", err)
+	}
+	if !reflect.DeepEqual(in.syms, []string{"w"}) {
+		t.Errorf("table = %q, want [w]", in.syms)
+	}
+	want := &Profile{Workloads: []WorkloadWeight{{Name: "w", Runs: 1}}}
+	if got := in.Profile(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("profile = %+v, want %+v", got, want)
+	}
+	if !bytes.Equal(in.appendStored(nil), mustBytes(t, want)) {
+		t.Error("re-saving the loaded stream does not give the canonical bytes")
+	}
+}
+
 // FuzzLoadProfile drives the decoder with arbitrary bytes, mirroring
 // perffile's corrupted-stream error tests: Load must never panic, and
 // anything it accepts must re-serialize and re-load to the identical

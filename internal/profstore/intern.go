@@ -157,76 +157,42 @@ func (o iOp) withIDs(m []uint32) iOp {
 	return o
 }
 
-// Intern converts a profile to interned form. Canonical profiles (the
-// common case — everything this package hands out) intern in one
-// linear pass; anything else is canonicalized on the way in, so
+// Intern converts a profile to interned form: the translation [Merge]
+// runs, for a fan-in of one. Canonical profiles (the common case —
+// everything this package hands out) translate in one linear pass;
+// anything else is sorted and folded on the way in, so
 // Intern(p).Profile() always equals Canonical(p).
 func Intern(p *Profile) *Interned {
 	if p == nil {
 		return &Interned{}
 	}
-	return mergeProfilesInterned([]*Profile{p})
+	return internAll([]*Profile{p})[0]
 }
 
-// mergeProfilesInterned is the merge kernel's front door: it merges a
-// fan-in of profiles into one interned profile against one shared
-// symbol table.
-//
-// The shape is chosen by what fleets actually merge — many snapshots
-// of the same program, whose key sets overlap almost entirely. A
-// scan-collect prepass builds the shared sorted table (a handful of
-// map hits per profile: canonical sections keep equal strings in
-// runs) and notes which inputs are canonical. Canonical profiles are
-// then *folded in place* into a mutable interned accumulator: a
-// two-pointer walk that translates each source row's key to symbol
-// IDs on the fly and adds its mass straight into the matching
-// accumulator row — zero allocation while the accumulator already
-// knows the keys, one merging rebuild (into a recycled scratch slice)
-// when it does not. If the accumulator outgrows its inputs — the
-// disjoint-key regime where sequential folding would go quadratic —
-// it is sealed into a chunk and a fresh one starts; the sealed chunks
-// meet in the pairwise tournament, which handles disjoint key sets in
-// O(N log k). Non-canonical inputs (rare) are translated, normalized
-// and fed to the tournament as their own chunks.
-func mergeProfilesInterned(profiles []*Profile) *Interned {
-	if len(profiles) == 0 {
-		return &Interned{}
-	}
+// internAll translates a fan-in of profiles against one sorted symbol
+// table, built for the whole fan-in and shared by every result, so
+// MergeInterned's table union over them is free and no row is
+// remapped. Zero-mass rows carry no information: they are dropped, and
+// the strings only they name stay out of the table. Nil profiles are
+// skipped.
+func internAll(profiles []*Profile) []*Interned {
 	tab := &symLookup{ids: make(map[string]uint32, 64)}
-	canonical := make([]bool, len(profiles))
-	maxRows := 0
-	for i, p := range profiles {
-		canonical[i] = scanCollect(p, tab)
-		if r := len(p.Workloads) + len(p.Blocks) + len(p.Ops); r > maxRows {
-			maxRows = r
+	for _, p := range profiles {
+		if p != nil {
+			tab.collect(p)
 		}
 	}
 	slices.Sort(tab.syms)
 	for i, s := range tab.syms {
 		tab.ids[s] = uint32(i)
 	}
-	growthCap := growthCapFor(maxRows)
-	f := &folder{tab: tab}
-	var chunks []*Interned
-	for i, p := range profiles {
-		switch {
-		case !canonical[i]:
-			in := internRows(p, tab, true)
-			in.normalize()
-			chunks = append(chunks, in)
-		case f.acc == nil:
-			f.acc = internRows(p, tab, false)
-		case f.acc.rows() > growthCap:
-			chunks = append(chunks, f.acc)
-			f.acc = internRows(p, tab, false)
-		default:
-			f.fold(p)
+	ins := make([]*Interned, 0, len(profiles))
+	for _, p := range profiles {
+		if p != nil {
+			ins = append(ins, internRows(p, tab))
 		}
 	}
-	if f.acc != nil {
-		chunks = append(chunks, f.acc)
-	}
-	return mergeInterned(chunks)
+	return ins
 }
 
 // growthCapFor is the accumulator size, in rows, past which a fold
@@ -251,8 +217,9 @@ func (in *Interned) rows() int { return len(in.workloads) + len(in.blocks) + len
 // the steady state of one fleet's windows — and the integer rows then
 // fold into one mutable accumulator, in place while the keys line up,
 // each input translated through its remap onto the union on the fly.
-// The same growth cap as the profile fold seals the accumulator into
-// a chunk for the pairwise tournament when keys are disjoint.
+// Past a growth cap the accumulator is sealed into a chunk for the
+// pairwise tournament, so disjoint keys cost O(N log k), not O(N²).
+// [Merge] is this fold behind a string translation.
 //
 // hbbp_profstore_merge_total counts [Merge] calls only: the fleet
 // tier's epoch compactions, window queries and retention folds all
@@ -274,23 +241,27 @@ func MergeInterned(ins ...*Interned) *Interned {
 	}
 	syms := unionTables(live)
 	growthCap := growthCapFor(maxRows)
-	f := &folder{} // accumulator and scratch only: sources are already interned
+	var acc *Interned
 	var chunks []*Interned
+	// Scratch slices recycled across the accumulator's merging rebuilds.
+	var scratchW []iWorkload
+	var scratchB []iBlock
+	var scratchO []iOp
 	for _, in := range live {
 		remap := remapInto(in.syms, syms)
 		switch {
-		case f.acc == nil:
-			f.acc = in.remapped(syms, remap)
-		case f.acc.rows() > growthCap:
-			chunks = append(chunks, f.acc)
-			f.acc = in.remapped(syms, remap)
+		case acc == nil:
+			acc = in.remapped(syms, remap)
+		case acc.rows() > growthCap:
+			chunks = append(chunks, acc)
+			acc = in.remapped(syms, remap)
 		default:
-			f.acc.workloads = foldRows(f.acc.workloads, in.workloads, remap, &f.scratchW)
-			f.acc.blocks = foldBlockRows(f.acc.blocks, in.blocks, remap, &f.scratchB)
-			f.acc.ops = foldRows(f.acc.ops, in.ops, remap, &f.scratchO)
+			acc.workloads = foldRows(acc.workloads, in.workloads, remap, &scratchW)
+			acc.blocks = foldBlockRows(acc.blocks, in.blocks, remap, &scratchB)
+			acc.ops = foldRows(acc.ops, in.ops, remap, &scratchO)
 		}
 	}
-	return mergeInterned(append(chunks, f.acc))
+	return mergeInterned(append(chunks, acc))
 }
 
 // foldRows adds the sorted interned section src, its IDs translated
@@ -402,187 +373,7 @@ func foldBlockRows(a, src []iBlock, remap []uint32, scratch *[]iBlock) []iBlock 
 	return a
 }
 
-// scanCollect walks p once, folding its strings into the shared table
-// (run-cached — equal strings sit in runs in canonical sections, and
-// rows from one decode share backing arrays, so the map is consulted
-// at run boundaries only) and reporting whether p is canonical: every
-// section strictly ascending in key order with no zero-mass entries.
-func scanCollect(p *Profile, tab *symLookup) bool {
-	canonical := true
-	var prev string
-	first := true
-	for i := range p.Workloads {
-		w := &p.Workloads[i]
-		if w.Runs == 0 {
-			canonical = false
-		}
-		if i > 0 && p.Workloads[i-1].Name >= w.Name {
-			canonical = false
-		}
-		if first || w.Name != prev {
-			prev, first = w.Name, false
-			tab.id(prev)
-		}
-	}
-	var pu, pm, pf string
-	firstB := true
-	for i := range p.Blocks {
-		b := &p.Blocks[i]
-		if b.Count == 0 {
-			canonical = false
-		}
-		if !firstB && b.Unit == pu && b.Module == pm && b.Function == pf {
-			// Inside a run the string keys are equal, so the canonical
-			// order check reduces to the integer tail of the key.
-			prev := &p.Blocks[i-1]
-			if prev.Addr > b.Addr ||
-				(prev.Addr == b.Addr && (prev.Ring > b.Ring ||
-					(prev.Ring == b.Ring && prev.Len >= b.Len))) {
-				canonical = false
-			}
-			continue
-		}
-		if i > 0 && !blockKeyLess(&p.Blocks[i-1], b) {
-			canonical = false
-		}
-		if firstB || b.Unit != pu {
-			pu = b.Unit
-			tab.id(pu)
-		}
-		if firstB || b.Module != pm {
-			pm = b.Module
-			tab.id(pm)
-		}
-		if firstB || b.Function != pf {
-			pf = b.Function
-			tab.id(pf)
-		}
-		firstB = false
-	}
-	var prevMn string
-	firstMn := true
-	for i := range p.Ops {
-		o := &p.Ops[i]
-		if o.Mass == 0 {
-			canonical = false
-		}
-		if i > 0 && !opKeyLess(&p.Ops[i-1], o) {
-			canonical = false
-		}
-		if firstMn || o.Mnemonic != prevMn {
-			prevMn, firstMn = o.Mnemonic, false
-			tab.id(prevMn)
-		}
-	}
-	return canonical
-}
-
-// folder folds canonical profiles (or, in MergeInterned, interned
-// rows) into a mutable interned accumulator, recycling scratch slices
-// across merging rebuilds.
-type folder struct {
-	tab *symLookup
-	acc *Interned
-
-	bufW []iWorkload
-	bufO []iOp
-
-	scratchW []iWorkload
-	scratchB []iBlock
-	scratchO []iOp
-}
-
-func (f *folder) fold(p *Profile) {
-	// Workloads and ops are a few dozen rows: translate them into
-	// reused buffers and take the interned fold. Blocks are the bulk of
-	// every profile, so they fold straight from the string rows:
-	// translating them into a buffer for foldBlockRows first measured
-	// 1.24x on BenchmarkMerge1000Profiles (EXPERIMENTS.md).
-	f.bufW = appendIWorkloads(f.bufW[:0], p.Workloads, f.tab, false)
-	f.acc.workloads = foldRows(f.acc.workloads, f.bufW, nil, &f.scratchW)
-	f.acc.blocks = f.foldBlocks(f.acc.blocks, p.Blocks)
-	f.bufO = appendIOps(f.bufO[:0], p.Ops, f.tab, false)
-	f.acc.ops = foldRows(f.acc.ops, f.bufO, nil, &f.scratchO)
-}
-
-// foldBlocks adds a sorted source block section into the sorted
-// accumulator section a, translating each row's strings to symbol IDs
-// on the fly: in place while every source key is already present, by
-// merging rebuild once one is not. Returns the (possibly swapped)
-// accumulator slice.
-func (f *folder) foldBlocks(a []iBlock, src []Block) []iBlock {
-	ai := 0
-	var pu, pm, pf string
-	var puID, pmID, pfID uint32
-	first := true
-	for i := range src {
-		b := &src[i]
-		if first || b.Unit != pu {
-			puID, pu = f.tab.ids[b.Unit], b.Unit
-		}
-		if first || b.Module != pm {
-			pmID, pm = f.tab.ids[b.Module], b.Module
-		}
-		if first || b.Function != pf {
-			pfID, pf = f.tab.ids[b.Function], b.Function
-		}
-		first = false
-		k := iBlock{unit: puID, module: pmID, function: pfID, addr: b.Addr, ring: b.Ring, blen: b.Len, count: b.Count}
-		// One compare per row when the key sequences line up — the
-		// aligned-fleet case this fold exists for.
-		matched := false
-		for ai < len(a) {
-			c := iBlockCmp(&a[ai], &k)
-			if c == 0 {
-				a[ai].count += k.count
-				ai++
-				matched = true
-				break
-			}
-			if c > 0 {
-				break
-			}
-			ai++
-		}
-		if matched {
-			continue
-		}
-		// New key: merge the tail into scratch and swap.
-		out := append(f.scratchB[:0], a[:ai]...)
-		out = append(out, k)
-		for i2 := i + 1; i2 < len(src); i2++ {
-			b2 := &src[i2]
-			if b2.Unit != pu {
-				puID, pu = f.tab.ids[b2.Unit], b2.Unit
-			}
-			if b2.Module != pm {
-				pmID, pm = f.tab.ids[b2.Module], b2.Module
-			}
-			if b2.Function != pf {
-				pfID, pf = f.tab.ids[b2.Function], b2.Function
-			}
-			k2 := iBlock{unit: puID, module: pmID, function: pfID, addr: b2.Addr, ring: b2.Ring, blen: b2.Len, count: b2.Count}
-			for ai < len(a) && iBlockCmp(&a[ai], &k2) < 0 {
-				out = append(out, a[ai])
-				ai++
-			}
-			if ai < len(a) && iBlockCmp(&a[ai], &k2) == 0 {
-				k2.count += a[ai].count
-				ai++
-			}
-			out = append(out, k2)
-		}
-		out = append(out, a[ai:]...)
-		f.scratchB = a[:0]
-		return out
-	}
-	return a
-}
-
-// symLookup interns strings into a growing table, caching the last hit
-// per call site: canonical sections keep equal strings in runs (and
-// rows decoded from one file share backing arrays), so the map is
-// consulted only at run boundaries.
+// symLookup interns strings into a growing table.
 type symLookup struct {
 	ids  map[string]uint32
 	syms []string
@@ -598,82 +389,99 @@ func (t *symLookup) id(s string) uint32 {
 	return id
 }
 
-// internRows translates p's rows to integer tuples against tab (fully
-// populated and sorted by internAll, so every lookup hits and IDs are
-// final). dropZero mirrors the canonicalization rule: zero-mass inputs
-// carry no information and are dropped before any summing.
-func internRows(p *Profile, tab *symLookup, dropZero bool) *Interned {
-	in := &Interned{}
-	if len(p.Workloads) > 0 {
-		in.workloads = appendIWorkloads(make([]iWorkload, 0, len(p.Workloads)), p.Workloads, tab, dropZero)
+// symRun caches one call site's last lookup: canonical sections keep
+// equal strings in runs (and rows decoded from one stream share
+// backing arrays), so the map is consulted at run boundaries only.
+type symRun struct {
+	s   string
+	sym uint32
+	ok  bool
+}
+
+func (r *symRun) id(t *symLookup, s string) uint32 {
+	if !r.ok || s != r.s {
+		r.s, r.sym, r.ok = s, t.id(s), true
 	}
-	if len(p.Blocks) > 0 {
-		in.blocks = make([]iBlock, 0, len(p.Blocks))
-		var pu, pm, pf string
-		var puID, pmID, pfID uint32
-		first := true
-		for i := range p.Blocks {
-			b := &p.Blocks[i]
-			if dropZero && b.Count == 0 {
-				continue
-			}
-			if first || b.Unit != pu {
-				puID, pu = tab.id(b.Unit), b.Unit
-			}
-			if first || b.Module != pm {
-				pmID, pm = tab.id(b.Module), b.Module
-			}
-			if first || b.Function != pf {
-				pfID, pf = tab.id(b.Function), b.Function
-			}
-			first = false
-			in.blocks = append(in.blocks, iBlock{
-				unit: puID, module: pmID, function: pfID,
-				addr: b.Addr, ring: b.Ring, blen: b.Len, count: b.Count,
-			})
+	return r.sym
+}
+
+// collect adds the strings of p's kept rows — those with nonzero mass —
+// to the table.
+func (t *symLookup) collect(p *Profile) {
+	var name, unit, module, function, mnemonic symRun
+	for i := range p.Workloads {
+		if w := &p.Workloads[i]; w.Runs != 0 {
+			name.id(t, w.Name)
 		}
 	}
-	if len(p.Ops) > 0 {
-		in.ops = appendIOps(make([]iOp, 0, len(p.Ops)), p.Ops, tab, dropZero)
+	for i := range p.Blocks {
+		if b := &p.Blocks[i]; b.Count != 0 {
+			unit.id(t, b.Unit)
+			module.id(t, b.Module)
+			function.id(t, b.Function)
+		}
 	}
-	in.syms = tab.syms
+	for i := range p.Ops {
+		if o := &p.Ops[i]; o.Mass != 0 {
+			mnemonic.id(t, o.Mnemonic)
+		}
+	}
+}
+
+// internRows translates p's nonzero rows against tab, which already
+// holds every string they name, sorted: IDs are final as they are
+// assigned, so each translated row is checked against the one before
+// it with an integer compare. Only a profile out of canonical order
+// (unsorted, or a key repeated) is sorted and folded afterwards.
+func internRows(p *Profile, tab *symLookup) *Interned {
+	in := &Interned{
+		syms:      tab.syms,
+		workloads: make([]iWorkload, 0, len(p.Workloads)),
+		blocks:    make([]iBlock, 0, len(p.Blocks)),
+		ops:       make([]iOp, 0, len(p.Ops)),
+	}
+	sorted := true
+	var name, unit, module, function, mnemonic symRun
+	for i := range p.Workloads {
+		w := &p.Workloads[i]
+		if w.Runs == 0 {
+			continue
+		}
+		r := iWorkload{name: name.id(tab, w.Name), runs: w.Runs}
+		if n := len(in.workloads); n > 0 && in.workloads[n-1].name >= r.name {
+			sorted = false
+		}
+		in.workloads = append(in.workloads, r)
+	}
+	for i := range p.Blocks {
+		b := &p.Blocks[i]
+		if b.Count == 0 {
+			continue
+		}
+		r := iBlock{
+			unit: unit.id(tab, b.Unit), module: module.id(tab, b.Module), function: function.id(tab, b.Function),
+			addr: b.Addr, ring: b.Ring, blen: b.Len, count: b.Count,
+		}
+		if n := len(in.blocks); n > 0 && iBlockCmp(&in.blocks[n-1], &r) >= 0 {
+			sorted = false
+		}
+		in.blocks = append(in.blocks, r)
+	}
+	for i := range p.Ops {
+		o := &p.Ops[i]
+		if o.Mass == 0 {
+			continue
+		}
+		r := iOp{mnemonic: mnemonic.id(tab, o.Mnemonic), ring: o.Ring, mass: o.Mass}
+		if n := len(in.ops); n > 0 && iOpCmp(&in.ops[n-1], &r) >= 0 {
+			sorted = false
+		}
+		in.ops = append(in.ops, r)
+	}
+	if !sorted {
+		in.normalize()
+	}
 	return in
-}
-
-// appendIWorkloads appends src's rows, translated against tab, to dst.
-func appendIWorkloads(dst []iWorkload, src []WorkloadWeight, tab *symLookup, dropZero bool) []iWorkload {
-	var prev string
-	var prevID uint32
-	first := true
-	for i := range src {
-		w := &src[i]
-		if dropZero && w.Runs == 0 {
-			continue
-		}
-		if first || w.Name != prev {
-			prevID, prev, first = tab.id(w.Name), w.Name, false
-		}
-		dst = append(dst, iWorkload{name: prevID, runs: w.Runs})
-	}
-	return dst
-}
-
-// appendIOps is appendIWorkloads for the op section.
-func appendIOps(dst []iOp, src []OpMass, tab *symLookup, dropZero bool) []iOp {
-	var prev string
-	var prevID uint32
-	first := true
-	for i := range src {
-		o := &src[i]
-		if dropZero && o.Mass == 0 {
-			continue
-		}
-		if first || o.Mnemonic != prev {
-			prevID, prev, first = tab.id(o.Mnemonic), o.Mnemonic, false
-		}
-		dst = append(dst, iOp{mnemonic: prevID, ring: o.Ring, mass: o.Mass})
-	}
-	return dst
 }
 
 // remapIDs rewrites every row's symbol IDs through remap, in place.

@@ -214,8 +214,12 @@ func (p *Profile) Clone() *Profile {
 // Weighted returns the profile scaled by an integer weight: every
 // count, mass and run multiplied by times. Weighted(k) equals merging
 // k copies — the explicit form of the merge's weight accounting (e.g.
-// one profile standing in for k identical machines).
+// one profile standing in for k identical machines) — so Weighted(0)
+// is the empty profile, Merge().
 func (p *Profile) Weighted(times uint64) *Profile {
+	if times == 0 {
+		return &Profile{}
+	}
 	out := p.Clone()
 	for i := range out.Workloads {
 		out.Workloads[i].Runs *= times
@@ -231,8 +235,8 @@ func (p *Profile) Weighted(times uint64) *Profile {
 
 // BlockKeyLess reports whether a orders before b in canonical form —
 // the block identity order Merge emits. Producers that build sections
-// already unique by key can sort with it and take Merge's canonical
-// fast path (a one-pass intern instead of a canonicalizing sort).
+// already unique by key can sort with it, and Merge's translation then
+// finds their rows in order and skips its canonicalizing sort.
 func BlockKeyLess(a, b *Block) bool { return blockKeyLess(a, b) }
 
 // OpKeyLess is BlockKeyLess for op-mass entries.
@@ -272,23 +276,16 @@ func opKeyLess(a, b *OpMass) bool {
 // bit: Merge(a, b, c), Merge(Merge(a, b), c) and Merge(a, Merge(c, b))
 // are identical, Merge(p) of a canonical p returns an equal profile,
 // and Merge() returns the empty profile (the merge identity). Nil
-// arguments are ignored.
+// arguments are ignored, and so are zero-mass rows.
 //
-// Internally every input is interned — string keys become fixed-width
-// symbol-ID tuples against a sorted table (see [Interned]) — and the
-// inputs meet in a pairwise tournament of linear integer-compare
-// merges, parallel across the worker pool for large fan-ins. Profiles
-// this package produces intern in one linear pass; hand-assembled
-// ones are canonicalized on the way in.
+// Merge is [MergeInterned] behind a string translation: one sorted
+// symbol table is built for the whole fan-in, each input's rows are
+// translated against it (see [Interned]), and the inputs whose rows
+// are not already canonical are sorted and folded. Every translated
+// input carries the same table, so the fold's table union is free.
 func Merge(profiles ...*Profile) *Profile {
-	live := make([]*Profile, 0, len(profiles))
-	for _, p := range profiles {
-		if p != nil {
-			live = append(live, p)
-		}
-	}
 	mergeCalls.Inc()
-	return mergeProfilesInterned(live).Profile()
+	return MergeInterned(internAll(profiles)...).Profile()
 }
 
 // Canonical normalizes a hand-assembled profile: duplicate keys are

@@ -137,16 +137,25 @@ func TestMergeAssociativity(t *testing.T) {
 }
 
 // TestWeightedEqualsRepeatedMerge pins the weight accounting:
-// p.Weighted(k) is exactly k copies merged.
+// p.Weighted(k) is exactly k copies merged — for k = 0 the empty
+// merge, for k = 1 the profile itself.
 func TestWeightedEqualsRepeatedMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	p := randomProfile(rng)
-	equalProfiles(t, "weighted(3)", p.Weighted(3), Merge(p, p, p))
+	for _, k := range []int{0, 1, 3} {
+		copies := make([]*Profile, k)
+		for i := range copies {
+			copies[i] = p
+		}
+		equalProfiles(t, fmt.Sprintf("weighted(%d)", k), p.Weighted(uint64(k)), Merge(copies...))
+	}
 }
 
 // TestCanonicalNormalizes pins that hand-assembled profiles — out of
 // order, duplicated keys, zero-mass entries — normalize to the same
-// canonical form.
+// canonical form, and that Save of the messy profile writes the
+// canonical bytes: no string that only a dropped row names reaches
+// the string table.
 func TestCanonicalNormalizes(t *testing.T) {
 	messy := &Profile{
 		Workloads: []WorkloadWeight{{Name: "b", Runs: 1}, {Name: "a", Runs: 2}, {Name: "b", Runs: 1}},
@@ -177,6 +186,9 @@ func TestCanonicalNormalizes(t *testing.T) {
 		},
 	}
 	equalProfiles(t, "canonical", Canonical(messy), want)
+	if got, wantBytes := mustBytes(t, messy), mustBytes(t, want); !bytes.Equal(got, wantBytes) {
+		t.Errorf("Save(messy) is %d bytes, Save(canonical) %d: they differ", len(got), len(wantBytes))
+	}
 }
 
 // TestProfileQueries covers the totals and top-N helpers.

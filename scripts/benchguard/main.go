@@ -12,7 +12,10 @@
 // fails the build. It is a tripwire for "the fast path stopped being
 // taken", not a performance test. Benchmarks missing from the baseline
 // are reported and skipped; a run that matches nothing fails, so a
-// renamed benchmark cannot silently disarm the guard.
+// renamed benchmark cannot silently disarm the guard. A baseline entry
+// that records a "benchtime" of the form "Nx" was measured at N
+// iterations; a run at any other count fails, since ns/op at different
+// iteration counts are not comparable.
 package main
 
 import (
@@ -28,14 +31,16 @@ import (
 
 type baselineFile struct {
 	Benchmarks []struct {
-		Name    string  `json:"name"`
-		NsPerOp float64 `json:"ns_per_op"`
+		Name      string  `json:"name"`
+		NsPerOp   float64 `json:"ns_per_op"`
+		Benchtime string  `json:"benchtime"`
 	} `json:"benchmarks"`
 }
 
 // result is one parsed benchmark line from `go test -bench` output.
 type result struct {
 	name    string
+	iters   int
 	nsPerOp float64
 }
 
@@ -56,6 +61,10 @@ func parseBenchLines(r io.Reader) ([]result, error) {
 			continue
 		}
 		name := fields[0]
+		iters, err := strconv.Atoi(fields[1])
+		if err != nil {
+			continue
+		}
 		if i := strings.LastIndex(name, "-"); i > 0 {
 			if _, err := strconv.Atoi(name[i+1:]); err == nil {
 				name = name[:i]
@@ -70,7 +79,7 @@ func parseBenchLines(r io.Reader) ([]result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("benchguard: bad ns/op value on line %q", sc.Text())
 			}
-			out = append(out, result{name: name, nsPerOp: ns})
+			out = append(out, result{name: name, iters: iters, nsPerOp: ns})
 			break
 		}
 	}
@@ -89,8 +98,14 @@ func run(baselinePath string, maxRatio float64, in io.Reader, out io.Writer) int
 		return 2
 	}
 	baseline := make(map[string]float64, len(base.Benchmarks))
+	iters := make(map[string]int, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		baseline[b.Name] = b.NsPerOp
+		if n, ok := strings.CutSuffix(b.Benchtime, "x"); ok {
+			if v, err := strconv.Atoi(n); err == nil {
+				iters[b.Name] = v
+			}
+		}
 	}
 
 	results, err := parseBenchLines(in)
@@ -107,6 +122,12 @@ func run(baselinePath string, maxRatio float64, in io.Reader, out io.Writer) int
 			continue
 		}
 		compared++
+		if n, ok := iters[r.name]; ok && n != r.iters {
+			fmt.Fprintf(out, "benchguard: %-40s ran %d iterations, baseline recorded at -benchtime %dx  FAIL\n",
+				r.name, r.iters, n)
+			failed++
+			continue
+		}
 		ratio := r.nsPerOp / want
 		verdict := "ok"
 		if ratio > maxRatio {
@@ -121,7 +142,8 @@ func run(baselinePath string, maxRatio float64, in io.Reader, out io.Writer) int
 		return 2
 	}
 	if failed > 0 {
-		fmt.Fprintf(out, "benchguard: %d of %d benchmarks regressed past %.1fx\n", failed, compared, maxRatio)
+		fmt.Fprintf(out, "benchguard: %d of %d benchmarks failed (regressed past %.1fx or ran at another benchtime)\n",
+			failed, compared, maxRatio)
 		return 1
 	}
 	fmt.Fprintf(out, "benchguard: %d benchmarks within %.1fx of baseline\n", compared, maxRatio)

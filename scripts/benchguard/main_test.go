@@ -21,9 +21,9 @@ PASS
 		t.Fatal(err)
 	}
 	want := []result{
-		{"BenchmarkSeriesWindow", 184483},
-		{"BenchmarkSeriesAppend", 8810},
-		{"BenchmarkWireIngest1Agent", 11700},
+		{"BenchmarkSeriesWindow", 6446, 184483},
+		{"BenchmarkSeriesAppend", 136424, 8810},
+		{"BenchmarkWireIngest1Agent", 203931, 11700},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %d results, want %d: %+v", len(got), len(want), got)
@@ -40,7 +40,8 @@ func TestRunVerdicts(t *testing.T) {
 	baseline := filepath.Join(dir, "base.json")
 	if err := os.WriteFile(baseline, []byte(`{"benchmarks": [
 		{"name": "BenchmarkFast", "ns_per_op": 1000},
-		{"name": "BenchmarkSlow", "ns_per_op": 1000}
+		{"name": "BenchmarkSlow", "ns_per_op": 1000},
+		{"name": "BenchmarkPinned", "ns_per_op": 1000, "benchtime": "200x"}
 	]}`), 0o666); err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +63,24 @@ func TestRunVerdicts(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "FAIL") {
 		t.Errorf("no FAIL verdict in output:\n%s", out.String())
+	}
+
+	// A baseline entry recorded at a benchtime: the run passes at that
+	// iteration count and fails, naming both counts, at any other.
+	out.Reset()
+	code = run(baseline, 10, strings.NewReader(
+		"BenchmarkPinned-4 200 1000 ns/op\n"), &out)
+	if code != 0 {
+		t.Fatalf("run at the recorded benchtime exited %d:\n%s", code, out.String())
+	}
+	out.Reset()
+	code = run(baseline, 10, strings.NewReader(
+		"BenchmarkPinned-4 5 1000 ns/op\n"), &out)
+	if code != 1 {
+		t.Fatalf("run at another benchtime exited %d, want 1:\n%s", code, out.String())
+	}
+	if msg := out.String(); !strings.Contains(msg, "ran 5 iterations") || !strings.Contains(msg, "200x") {
+		t.Errorf("benchtime failure does not name both counts:\n%s", msg)
 	}
 
 	// Nothing matched: the guard must not silently pass.
