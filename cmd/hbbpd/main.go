@@ -1,7 +1,7 @@
 // Command hbbpd is the fleet ingest daemon: it serves the hbbp wire
 // protocol, merging stored profiles sent by agents (hbbp.Dial /
-// examples/fleet) into per-tenant, per-epoch aggregates with exact
-// drop accounting. It is a thin shell over the public hbbp library.
+// examples/fleet) into one profile series per tenant with exact drop
+// accounting. It is a thin shell over the public hbbp library.
 //
 // Usage:
 //
@@ -27,25 +27,27 @@
 // already admitted to the ingest queue are merged and acked before
 // connections close, bounded by -drain-timeout. On exit it prints one
 // accounting line per tenant — merged, duplicates, shed, rejected,
-// corrupt — and, when -save-dir is set, writes each tenant/epoch
-// aggregate as a stored profile (atomically: temp file plus rename,
-// so a full disk or a crash never leaves a truncated profile behind).
+// corrupt — and, when -save-dir is set, saves each tenant's series to
+// DIR/TENANT.series/ (readable by hbbp -series; every file is written
+// as a temp file plus rename, so a full disk or a crash never leaves
+// a truncated profile behind). The daemon does not yet read a
+// -save-dir back on start, so it refuses to start on a directory that
+// already holds a saved series rather than overwrite that history.
 //
 // Overload behavior is explicit: when the bounded ingest queue stays
 // full past -enqueue-wait, the server refuses the profile with a
 // retryable overload nack and counts the shed against the tenant;
 // nothing is dropped silently and memory stays bounded.
 //
-// With -retain, the daemon also bounds its memory along the time
-// axis: completed epochs (those -epoch-lag behind a tenant's newest)
-// roll out of their live aggregators into a per-tenant profile series
-// downsampled by the given ladder — e.g. "1:8,4:4,16:0" keeps the
-// last 8 epochs raw, the 16 before those at 4 epochs per window, and
-// everything older at 16. Rolling is lossless: windowed queries over
-// the series merge bit-identical to the flat merge of the acked
-// profiles. On shutdown with -save-dir, each tenant's series is saved
-// to DIR/TENANT.series/ (readable by hbbp -series); without -retain
-// the historical per-epoch profile files are written instead.
+// Along the time axis, completed epochs (those -epoch-lag behind a
+// tenant's newest) always roll out of their live aggregators into the
+// tenant's series, which -retain downsamples by the given ladder —
+// e.g. "1:8,4:4,16:0" keeps the last 8 epochs raw, the 16 before
+// those at 4 epochs per window, and everything older at 16, bounding
+// the daemon's memory. An empty -retain is the ladder "1:0": every
+// epoch is kept as its own window. Rolling is lossless: windowed
+// queries over the series merge bit-identical to the flat merge of
+// the acked profiles.
 package main
 
 import (
@@ -90,10 +92,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	readTimeout := fs.Duration("read-timeout", 0, "per-frame read deadline (0 = default 30s)")
 	writeTimeout := fs.Duration("write-timeout", 0, "per-frame write deadline (0 = default 10s)")
 	statsEvery := fs.Duration("stats-every", 0, "print an accounting snapshot this often (0 = only at exit)")
-	saveDir := fs.String("save-dir", "", "write each tenant/epoch aggregate (or, with -retain, each tenant's series) to this directory on shutdown")
+	saveDir := fs.String("save-dir", "", "save each tenant's series to DIR/TENANT.series on shutdown (refused if DIR already holds a saved series)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight ingests to drain")
-	retain := fs.String("retain", "", "roll completed epochs into a downsampled series by this WIDTH:KEEP,... ladder (e.g. 1:8,4:4,16:0; \"default\" = "+hbbp.DefaultRetention().String()+"); empty keeps every epoch live")
-	epochLag := fs.Uint64("epoch-lag", 1, "epochs behind a tenant's newest before an epoch is considered complete and rolled (with -retain)")
+	retain := fs.String("retain", "", "downsample each tenant's series by this WIDTH:KEEP,... ladder (e.g. 1:8,4:4,16:0; \"default\" = "+hbbp.DefaultRetention().String()+"); empty = 1:0, every epoch its own window")
+	epochLag := fs.Uint64("epoch-lag", 1, "epochs behind a tenant's newest before an epoch is considered complete and rolled into the series")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -120,6 +122,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		} else if !info.IsDir() {
 			fmt.Fprintf(stderr, "hbbpd: -save-dir %s is not a directory\n", *saveDir)
 			return 1
+		}
+		if err := checkNoSavedSeries(*saveDir); err != nil {
+			fmt.Fprintf(stderr, "hbbpd: -save-dir %s: %v\n", *saveDir, err)
+			return 2
 		}
 	}
 
@@ -201,13 +207,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	stats := s.Stats()
 	printStats(stdout, stats)
 	if *saveDir != "" {
-		var err error
-		if len(retention.Levels) > 0 {
-			err = saveSeries(s, stats, *saveDir, stderr)
-		} else {
-			err = saveSnapshots(s, stats, *saveDir, stderr)
-		}
-		if err != nil {
+		if err := saveSeries(s, stats, *saveDir, stderr); err != nil {
 			fmt.Fprintf(stderr, "hbbpd: %v\n", err)
 			code = 1
 		}
@@ -276,28 +276,6 @@ func formatStats(st hbbp.FleetServerStats) string {
 	return b.String()
 }
 
-// saveSnapshots writes every tenant/epoch aggregate to dir, each via
-// an atomic temp-file-plus-rename so no partial profile can survive a
-// failure. Stats() already reports tenants and epochs sorted (the
-// fleetserver tests pin that), so the walk is deterministic as-is.
-// The first error aborts the walk.
-func saveSnapshots(s *hbbp.FleetServer, st hbbp.FleetServerStats, dir string, stderr io.Writer) error {
-	for _, ts := range st.Tenants {
-		for _, epoch := range ts.Epochs {
-			p := s.Snapshot(ts.Tenant, epoch)
-			if p == nil {
-				continue
-			}
-			path := filepath.Join(dir, fmt.Sprintf("%s-epoch%d.hbbprof", safeName(ts.Tenant), epoch))
-			if err := writeProfileAtomic(path, p); err != nil {
-				return fmt.Errorf("saving %s: %w", path, err)
-			}
-			fmt.Fprintf(stderr, "hbbpd: saved %s/%d to %s\n", ts.Tenant, epoch, path)
-		}
-	}
-	return nil
-}
-
 // saveSeries writes each tenant's full time axis — rolled windows
 // plus still-live epochs — as a series directory under dir, readable
 // by hbbp -series. The series' own save path is atomic per file with
@@ -319,6 +297,30 @@ func saveSeries(s *hbbp.FleetServer, st hbbp.FleetServerStats, dir string, stder
 	return nil
 }
 
+// checkNoSavedSeries refuses a save directory an earlier run saved a
+// series into. A save rewrites each series directory to this run's
+// state alone and deletes the window files its new index does not
+// name, so it would erase the earlier run's acked history. An
+// index-less *.series directory holds nothing and passes; an
+// unreadable one is refused too.
+func checkNoSavedSeries(dir string) error {
+	dirs, err := filepath.Glob(filepath.Join(dir, "*.series"))
+	if err != nil {
+		return err
+	}
+	for _, d := range dirs {
+		series, err := hbbp.OpenSeries(d)
+		if err != nil {
+			return fmt.Errorf("%s is not a readable series (%v); move it away or pick another directory", d, err)
+		}
+		if series.Len() > 0 {
+			return fmt.Errorf("%s already holds a saved series (%d windows) that this run's save would overwrite; move it away or pick another directory",
+				d, series.Len())
+		}
+	}
+	return nil
+}
+
 // safeName maps a tenant name to a filesystem-safe file stem, one to
 // one: bytes in [A-Za-z0-9.-] pass through and every other byte, '_'
 // included, becomes '_' plus two hex digits. Distinct tenants such as
@@ -334,24 +336,4 @@ func safeName(s string) string {
 		}
 	}
 	return b.String()
-}
-
-// writeProfileAtomic stores a profile at path via a same-directory
-// temp file and rename: readers see either the old file or the
-// complete new one, never a truncated write.
-func writeProfileAtomic(path string, p *hbbp.StoredProfile) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".hbbprof-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := hbbp.SaveProfile(tmp, p); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

@@ -91,7 +91,7 @@ func sendProfiles(t *testing.T, addr, tenant, agent string, epoch uint64, n int)
 // TestDaemonIngestAndGracefulExit drives the daemon end to end: serve
 // on an ephemeral port, ingest real profiles over the wire, shut down
 // via context (the signal path), and check the exit code, the
-// accounting summary and the atomically saved aggregates.
+// accounting summary and the atomically saved series.
 func TestDaemonIngestAndGracefulExit(t *testing.T) {
 	dir := t.TempDir()
 	addr, stdout, stderr, stop, exited := startDaemon(t, "-save-dir", dir)
@@ -115,43 +115,45 @@ func TestDaemonIngestAndGracefulExit(t *testing.T) {
 		t.Errorf("no drain message:\n%s", stderr.String())
 	}
 
-	// The saved aggregate must load and equal the offline merge.
-	path := filepath.Join(dir, "acme-epoch3.hbbprof")
-	f, err := os.Open(path)
+	// The saved series must reopen as the one epoch, equal to the
+	// offline merge.
+	sdir := filepath.Join(dir, "acme.series")
+	series, err := hbbp.OpenSeries(sdir)
 	if err != nil {
-		t.Fatalf("saved aggregate missing: %v", err)
+		t.Fatalf("saved series does not open: %v", err)
 	}
-	defer f.Close()
-	got, err := hbbp.LoadProfile(f)
-	if err != nil {
-		t.Fatalf("saved aggregate does not load: %v", err)
+	if spans := series.Spans(); len(spans) != 1 || spans[0] != (hbbp.SeriesSpan{Start: 3, End: 3}) {
+		t.Fatalf("saved series spans = %v, want [3]", spans)
 	}
 	var a, b bytes.Buffer
-	if err := hbbp.SaveProfile(&a, got); err != nil {
+	if err := hbbp.SaveProfile(&a, series.Merged()); err != nil {
 		t.Fatal(err)
 	}
 	if err := hbbp.SaveProfile(&b, hbbp.MergeProfiles(sent...)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("saved aggregate diverges from offline merge of the sent profiles")
+		t.Error("saved series diverges from offline merge of the sent profiles")
 	}
-	// No temp debris from the atomic write.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".hbbprof-") {
-			t.Errorf("atomic write left temp file %s", e.Name())
+	// The series directory is the only thing saved, and the atomic
+	// writes left no temp debris in it.
+	for _, d := range []string{dir, sdir} {
+		entries, err := os.ReadDir(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if strings.HasPrefix(e.Name(), ".") || (d == dir && e.Name() != "acme.series") {
+				t.Errorf("unexpected file %s in %s", e.Name(), d)
+			}
 		}
 	}
 }
 
 // TestDaemonSaveDirKeepsTenantsApart pins that tenant names which
 // differ only in bytes a file name cannot hold still save to distinct
-// files: "a/b" and "a_b" each load back to the merge of their own
-// profiles, per-epoch aggregates and retained series alike.
+// series directories: "a/b" and "a_b" each load back to the merge of
+// their own profiles.
 func TestDaemonSaveDirKeepsTenantsApart(t *testing.T) {
 	tenants := []struct {
 		name, stem string
@@ -160,56 +162,97 @@ func TestDaemonSaveDirKeepsTenantsApart(t *testing.T) {
 		{"a/b", "a_2fb", 1},
 		{"a_b", "a_5fb", 3},
 	}
-	for _, mode := range []struct {
-		name  string
-		extra []string
-		load  func(t *testing.T, dir, stem string) *hbbp.StoredProfile
-	}{
-		{"epochs", nil, func(t *testing.T, dir, stem string) *hbbp.StoredProfile {
-			f, err := os.Open(filepath.Join(dir, stem+"-epoch3.hbbprof"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			p, err := hbbp.LoadProfile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		}},
-		{"series", []string{"-retain", "default"}, func(t *testing.T, dir, stem string) *hbbp.StoredProfile {
-			series, err := hbbp.OpenSeries(filepath.Join(dir, stem+".series"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return series.Merged()
-		}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			dir := t.TempDir()
-			addr, _, stderr, stop, exited := startDaemon(t, append([]string{"-save-dir", dir}, mode.extra...)...)
-			sent := make([][]*hbbp.StoredProfile, len(tenants))
-			for i, tn := range tenants {
-				sent[i] = sendProfiles(t, addr, tn.name, "host-1", 3, tn.n)
-			}
-			stop()
-			if code := <-exited; code != 0 {
-				t.Fatalf("exit code = %d; stderr:\n%s", code, stderr.String())
-			}
-			for i, tn := range tenants {
-				var got, want bytes.Buffer
-				if err := hbbp.SaveProfile(&got, mode.load(t, dir, tn.stem)); err != nil {
-					t.Fatal(err)
-				}
-				if err := hbbp.SaveProfile(&want, hbbp.MergeProfiles(sent[i]...)); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got.Bytes(), want.Bytes()) {
-					t.Errorf("tenant %q: saved %s diverges from the merge of its own profiles", tn.name, tn.stem)
-				}
-			}
-		})
+	dir := t.TempDir()
+	addr, _, stderr, stop, exited := startDaemon(t, "-save-dir", dir)
+	sent := make([][]*hbbp.StoredProfile, len(tenants))
+	for i, tn := range tenants {
+		sent[i] = sendProfiles(t, addr, tn.name, "host-1", 3, tn.n)
 	}
+	stop()
+	if code := <-exited; code != 0 {
+		t.Fatalf("exit code = %d; stderr:\n%s", code, stderr.String())
+	}
+	for i, tn := range tenants {
+		series, err := hbbp.OpenSeries(filepath.Join(dir, tn.stem+".series"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want bytes.Buffer
+		if err := hbbp.SaveProfile(&got, series.Merged()); err != nil {
+			t.Fatal(err)
+		}
+		if err := hbbp.SaveProfile(&want, hbbp.MergeProfiles(sent[i]...)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("tenant %q: saved %s diverges from the merge of its own profiles", tn.name, tn.stem)
+		}
+	}
+}
+
+// TestDaemonRefusesSavedSeriesDir pins the restart refusal: a second
+// daemon on a -save-dir the first one saved a series into exits 2
+// before listening, naming the series directory, and leaves the first
+// run's window files byte for byte as they were.
+func TestDaemonRefusesSavedSeriesDir(t *testing.T) {
+	dir := t.TempDir()
+	addr, _, stderr, stop, exited := startDaemon(t, "-save-dir", dir)
+	for epoch := uint64(0); epoch < 3; epoch++ {
+		sendProfiles(t, addr, "acme", "host-1", epoch, 2)
+	}
+	stop()
+	if code := <-exited; code != 0 {
+		t.Fatalf("first run exited %d; stderr:\n%s", code, stderr.String())
+	}
+	sdir := filepath.Join(dir, "acme.series")
+	before := readDirFiles(t, sdir)
+	if len(before) < 2 {
+		t.Fatalf("first run saved %d files, want windows plus an index", len(before))
+	}
+
+	// Bounded, so a daemon that does start serves briefly and exits
+	// instead of hanging the test.
+	ctx, cancel := context.WithTimeout(t.Context(), 2*time.Second)
+	defer cancel()
+	var stdout2, stderr2 syncBuffer
+	code := run(ctx, []string{"-listen", "127.0.0.1:0", "-save-dir", dir}, &stdout2, &stderr2)
+	if code != 2 {
+		t.Fatalf("second run on the same -save-dir exited %d, want 2; stderr:\n%s", code, stderr2.String())
+	}
+	msg := stderr2.String()
+	if strings.Contains(msg, "listening on") {
+		t.Fatalf("second run listened before refusing:\n%s", msg)
+	}
+	if !strings.Contains(msg, "-save-dir") || !strings.Contains(msg, sdir) {
+		t.Fatalf("refusal does not name the flag and %s:\n%s", sdir, msg)
+	}
+	after := readDirFiles(t, sdir)
+	if len(after) != len(before) {
+		t.Fatalf("series directory went from %d files to %d", len(before), len(after))
+	}
+	for name, data := range before {
+		if !bytes.Equal(after[name], data) {
+			t.Errorf("first run's %s changed", name)
+		}
+	}
+}
+
+// readDirFiles reads every file in dir, keyed by name.
+func readDirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	return files
 }
 
 // TestDaemonSaveDirValidatedUpFront pins that a bad -save-dir fails

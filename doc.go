@@ -79,9 +79,11 @@
 // (losslessly — merging is exact, so any re-grouping equals the flat
 // merge bit for bit), windowed queries merge any epoch range, and
 // [ProfileSeries.Trend] flags ops and functions whose retirement share
-// moves monotonically across consecutive windows. Servers roll
-// completed epochs into a series online (FleetServerConfig.Retention),
-// and [OpenSeries] reloads what [ProfileSeries.Save] persisted.
+// moves monotonically across consecutive windows. Every server tenant
+// is a series: completed epochs roll into it online, downsampled by
+// FleetServerConfig.Retention (zero keeps every epoch as its own
+// window), and [OpenSeries] reloads what [ProfileSeries.Save]
+// persisted.
 //
 // The telemetry layer watches all of the above at production cost:
 // every instrumented subsystem — ingest server and client, merge

@@ -9,17 +9,18 @@ import (
 
 // Epoch rolling: the time axis of the ingest tier.
 //
-// Without retention, a tenant's epochs map grows one aggregator per
-// epoch forever — fine for a test run, unbounded for a daemon. With
-// Config.Retention set, each merge advances the tenant's epoch clock
-// and rolls every completed epoch (older than the clock by at least
-// EpochLag) out of its live aggregator into a tsstore.Series, which
-// the ladder then downsamples. Rolling preserves the ingest tier's
-// keystone invariant: a rolled epoch's snapshot is bit-identical to
-// the flat merge of its acked profiles (the Aggregator contract), and
-// tsstore folding is lossless by construction, so any windowed query
-// remains bit-identical to the flat merge of the acked profiles in
-// those epochs — before, during and after folds.
+// Every tenant is a series. Each merge advances the tenant's epoch
+// clock and rolls every completed epoch (older than the clock by at
+// least EpochLag) out of its live aggregator into the tenant's
+// tsstore.Series, which Config.Retention then downsamples. The zero
+// Retention is the keep-everything ladder "1:0": every rolled epoch
+// stays a width-1 window, so only the newest EpochLag epochs hold
+// aggregators. Rolling preserves the ingest tier's keystone invariant:
+// a rolled epoch's window is bit-identical to the flat merge of its
+// acked profiles (the Aggregator contract), and tsstore folding is
+// lossless by construction, so any windowed query remains
+// bit-identical to the flat merge of the acked profiles in those
+// epochs — before, during and after folds.
 //
 // A late profile for an already-rolled epoch is not refused: it lands
 // in a fresh aggregator for that epoch and rolls again on the next
@@ -28,12 +29,8 @@ import (
 // — dedup is per (agent, seq), independent of epochs.
 
 // roll folds the tenant's completed epochs into its series and
-// downsamples. Called by ingest workers after each merge; a no-op
-// unless rolling is configured.
+// downsamples. Called by ingest workers after each merge.
 func (s *Server) roll(t *tenant, epoch uint64) {
-	if !s.cfg.rolling() {
-		return
-	}
 	t.mu.Lock()
 	if epoch > t.maxEpoch {
 		t.maxEpoch = epoch
@@ -53,9 +50,6 @@ func (s *Server) roll(t *tenant, epoch uint64) {
 			continue
 		}
 		delete(t.epochs, e)
-		if t.series == nil {
-			t.series = &tsstore.Series{}
-		}
 		// Snapshot under t.mu: every new merge acquires the epoch via
 		// acquireEpoch, which also needs t.mu, so nothing can slip into
 		// this aggregator between the snapshot and the delete.
@@ -89,6 +83,27 @@ func (s *Server) Window(tenantName string, since, until uint64) (*profstore.Prof
 	return s.axis(tenantName, since, until).Window(since, until)
 }
 
+// Snapshot returns the merged profile for one tenant and epoch — a
+// canonical profile bit-identical to profstore.Merge over exactly the
+// profiles acked into that pair — or nil if the server cannot answer
+// for that epoch alone. It answers for a live epoch, for a rolled
+// epoch still kept as a width-1 window (every rolled epoch under the
+// zero Retention, the raw band under a ladder) and for late arrivals
+// merged into either. It returns nil for an epoch nothing was merged
+// into, and for one the ladder folded into a wider window: that
+// window's merge would be a plausible wrong answer. Query folded
+// history through [Server.Window], whose spans say what was included.
+// Safe during ingestion; see profstore.Aggregator.Snapshot for the
+// consistency contract.
+func (s *Server) Snapshot(tenantName string, epoch uint64) *profstore.Profile {
+	axis := s.axis(tenantName, epoch, epoch)
+	if spans := axis.Spans(); len(spans) != 1 || spans[0] != (tsstore.Span{Start: epoch, End: epoch}) {
+		return nil
+	}
+	p, _ := axis.At(0)
+	return p
+}
+
 // axis collects the part of the tenant's time axis that overlaps
 // [since, until] into a series the caller owns: the rolled windows
 // overlapping the range (shared, not copied — windows are immutable)
@@ -105,12 +120,7 @@ func (s *Server) axis(tenantName string, since, until uint64) *tsstore.Series {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out *tsstore.Series
-	if t.series != nil {
-		out = t.series.Range(since, until)
-	} else {
-		out = &tsstore.Series{}
-	}
+	out := t.series.Range(since, until)
 	for e, ent := range t.epochs {
 		if (since <= e && e <= until) || out.Covers(e) {
 			out.AppendEpochInterned(e, ent.agg.SnapshotInterned())

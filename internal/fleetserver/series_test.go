@@ -185,18 +185,25 @@ func TestSeriesSnapshotCoversEverything(t *testing.T) {
 	}
 }
 
-// TestRollingOffKeepsHistoricalBehavior pins the default: without
-// retention, every epoch's aggregator stays live and per-epoch
-// Snapshot still answers for all of them.
-func TestRollingOffKeepsHistoricalBehavior(t *testing.T) {
+// TestZeroConfigKeepsEveryEpoch pins the zero Retention as the
+// keep-everything ladder "1:0": every completed epoch rolls into its
+// own width-1 window, only the newest stays live, per-epoch Snapshot
+// answers for all of them with the flat merge of that epoch's acked
+// profiles, and Window merges them exactly.
+func TestZeroConfigKeepsEveryEpoch(t *testing.T) {
 	s := startServer(t, Config{})
 	sent := sendEpochs(t, s, "acme", 10, 1, 7)
 	ts := tenantStats(t, s, "acme")
-	if len(ts.Epochs) != 10 {
-		t.Fatalf("live epochs = %v, want all 10", ts.Epochs)
+	if len(ts.Epochs) != 1 || ts.Epochs[0] != 9 {
+		t.Fatalf("live epochs = %v, want [9]", ts.Epochs)
 	}
-	if len(ts.Windows) != 0 {
-		t.Fatalf("windows = %v, want none without retention", ts.Windows)
+	if len(ts.Windows) != 9 {
+		t.Fatalf("windows = %v, want 9 width-1 windows", ts.Windows)
+	}
+	for i, w := range ts.Windows {
+		if w != (tsstore.Span{Start: uint64(i), End: uint64(i)}) {
+			t.Fatalf("window %d = %v, want [%d, %d]", i, w, i, i)
+		}
 	}
 	for e := uint64(0); e < 10; e++ {
 		got := s.Snapshot("acme", e)
@@ -207,7 +214,10 @@ func TestRollingOffKeepsHistoricalBehavior(t *testing.T) {
 			t.Fatalf("epoch %d snapshot diverges", e)
 		}
 	}
-	// Window still works without retention: it sees the live epochs.
+	if s.Snapshot("acme", 10) != nil || s.Snapshot("nobody", 0) != nil {
+		t.Error("snapshot of an epoch nothing merged into is not nil")
+	}
+	// A window over width-1 windows is the flat merge of its epochs.
 	got, spans := s.Window("acme", 3, 6)
 	var flat []*profstore.Profile
 	for e := uint64(3); e <= 6; e++ {
@@ -217,23 +227,63 @@ func TestRollingOffKeepsHistoricalBehavior(t *testing.T) {
 		t.Fatalf("spans = %v", spans)
 	}
 	if !bytes.Equal(saveBytes(t, got), saveBytes(t, profstore.Merge(flat...))) {
-		t.Fatal("windowed query over live epochs diverges")
+		t.Fatal("windowed query over width-1 windows diverges")
+	}
+}
+
+// TestSnapshotOfRolledRawEpoch pins that Snapshot answers for an
+// epoch the ladder rolled but has not folded: its width-1 window is
+// exactly the flat merge of that epoch's acked profiles.
+func TestSnapshotOfRolledRawEpoch(t *testing.T) {
+	s := startServer(t, rollConfig())
+	// Epochs 0..4 with lag 1: 0..3 rolled, and epoch 3 sits in the
+	// raw band (the newest 2 rolled epochs), so it is a width-1 window.
+	sent := sendEpochs(t, s, "acme", 5, 2, 11)
+	ts := tenantStats(t, s, "acme")
+	if len(ts.Epochs) != 1 || ts.Epochs[0] != 4 {
+		t.Fatalf("live epochs = %v, want [4]", ts.Epochs)
+	}
+	got := s.Snapshot("acme", 3)
+	if got == nil {
+		t.Fatalf("no snapshot for rolled raw epoch 3; windows %v", ts.Windows)
+	}
+	if !bytes.Equal(saveBytes(t, got), saveBytes(t, profstore.Merge(sent[3]...))) {
+		t.Fatal("rolled raw epoch's snapshot diverges from the flat merge of its profiles")
+	}
+}
+
+// TestSnapshotOfFoldedEpochIsNil pins that Snapshot never answers for
+// one epoch with a wider window's merge: once the ladder folds an
+// epoch into a 4-wide window, its per-epoch snapshot is nil.
+func TestSnapshotOfFoldedEpochIsNil(t *testing.T) {
+	s := startServer(t, rollConfig())
+	sendEpochs(t, s, "acme", 12, 1, 12)
+	ts := tenantStats(t, s, "acme")
+	if len(ts.Windows) == 0 || ts.Windows[0] != (tsstore.Span{Start: 0, End: 3}) {
+		t.Fatalf("windows = %v, want [0, 3] folded first", ts.Windows)
+	}
+	for e := uint64(0); e <= 3; e++ {
+		if p := s.Snapshot("acme", e); p != nil {
+			t.Fatalf("Snapshot(%d) inside folded window [0, 3] = %d blocks, want nil", e, len(p.Blocks))
+		}
 	}
 }
 
 // TestWindowMatchesSeriesSnapshot pins the range-scoped Window to the
 // whole-axis contract it shortcuts: once ingest quiesces, Window
 // answers every range byte for byte — profile and spans — as
-// SeriesSnapshot().Window does, with rolling on (folded windows plus
-// live epochs, ranges with and without the live epochs) and off (live
-// epochs only), including empty, inverted and out-of-history ranges.
+// SeriesSnapshot().Window does, under a folding ladder (folded
+// windows plus live epochs, ranges with and without the live epochs)
+// and under the zero Retention (width-1 windows plus the live epoch),
+// including empty, inverted and out-of-history ranges.
 func TestWindowMatchesSeriesSnapshot(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name  string
+		cfg   Config
+		folds bool // the ladder folds old epochs into wider windows
 	}{
-		{"rolling", rollConfig()},
-		{"rolling-off", Config{}},
+		{"rolling", rollConfig(), true},
+		{"zero-retention", Config{}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const epochs = 24
@@ -241,9 +291,12 @@ func TestWindowMatchesSeriesSnapshot(t *testing.T) {
 			sendEpochs(t, s, "acme", epochs, 2, 8)
 			full := s.SeriesSnapshot("acme")
 			ts := tenantStats(t, s, "acme")
-			if tc.cfg.rolling() && (len(ts.Windows) == 0 || len(ts.Epochs) == 0) {
+			if len(ts.Windows) == 0 || len(ts.Epochs) == 0 {
 				t.Fatalf("want rolled windows and a live epoch, got windows %v, epochs %v",
 					ts.Windows, ts.Epochs)
+			}
+			if folded := len(ts.Windows) < epochs-1; folded != tc.folds {
+				t.Fatalf("windows %v: folded = %v, want %v", ts.Windows, folded, tc.folds)
 			}
 			rng := rand.New(rand.NewSource(9))
 			ranges := [][2]uint64{{0, epochs - 1}, {0, epochs - 3}, {epochs - 1, epochs - 1},

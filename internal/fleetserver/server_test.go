@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -391,8 +392,16 @@ func TestStatsSorted(t *testing.T) {
 		if st.Tenants[i].Tenant != want {
 			t.Fatalf("tenant order = %v", st.Tenants)
 		}
-		if got := st.Tenants[i].Epochs; len(got) != 3 || got[0] != 2 || got[1] != 5 || got[2] != 9 {
-			t.Fatalf("epoch order = %v, want [2 5 9]", got)
+		// Epoch 9 arrived first, so 2 and 5 rolled into width-1
+		// windows: the time axis reads windows, then live epochs.
+		var axis []uint64
+		for _, w := range st.Tenants[i].Windows {
+			axis = append(axis, w.Start, w.End)
+		}
+		axis = append(axis, st.Tenants[i].Epochs...)
+		if !slices.Equal(axis, []uint64{2, 2, 5, 5, 9}) {
+			t.Fatalf("windows %v then epochs %v, want [2 2] [5 5] then [9]",
+				st.Tenants[i].Windows, st.Tenants[i].Epochs)
 		}
 	}
 }

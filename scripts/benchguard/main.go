@@ -12,10 +12,12 @@
 // fails the build. It is a tripwire for "the fast path stopped being
 // taken", not a performance test. Benchmarks missing from the baseline
 // are reported and skipped; a run that matches nothing fails, so a
-// renamed benchmark cannot silently disarm the guard. A baseline entry
-// that records a "benchtime" of the form "Nx" was measured at N
-// iterations; a run at any other count fails, since ns/op at different
-// iteration counts are not comparable.
+// renamed benchmark cannot silently disarm the guard. Every compared
+// baseline entry must record a "benchtime" of the form "Nx": it was
+// measured at N iterations, and a run at any other count fails, since
+// ns/op at different iteration counts are not comparable. An entry
+// the input names but that records no such benchtime fails too, so no
+// guarded number is compared against a recording of unknown length.
 package main
 
 import (
@@ -122,7 +124,13 @@ func run(baselinePath string, maxRatio float64, in io.Reader, out io.Writer) int
 			continue
 		}
 		compared++
-		if n, ok := iters[r.name]; ok && n != r.iters {
+		n, ok := iters[r.name]
+		if !ok {
+			fmt.Fprintf(out, "benchguard: %-40s baseline records no \"Nx\" benchtime to compare at  FAIL\n", r.name)
+			failed++
+			continue
+		}
+		if n != r.iters {
 			fmt.Fprintf(out, "benchguard: %-40s ran %d iterations, baseline recorded at -benchtime %dx  FAIL\n",
 				r.name, r.iters, n)
 			failed++
@@ -142,7 +150,7 @@ func run(baselinePath string, maxRatio float64, in io.Reader, out io.Writer) int
 		return 2
 	}
 	if failed > 0 {
-		fmt.Fprintf(out, "benchguard: %d of %d benchmarks failed (regressed past %.1fx or ran at another benchtime)\n",
+		fmt.Fprintf(out, "benchguard: %d of %d benchmarks failed (regressed past %.1fx, ran at another benchtime or have none recorded)\n",
 			failed, compared, maxRatio)
 		return 1
 	}

@@ -39,9 +39,11 @@ func TestRunVerdicts(t *testing.T) {
 	dir := t.TempDir()
 	baseline := filepath.Join(dir, "base.json")
 	if err := os.WriteFile(baseline, []byte(`{"benchmarks": [
-		{"name": "BenchmarkFast", "ns_per_op": 1000},
-		{"name": "BenchmarkSlow", "ns_per_op": 1000},
-		{"name": "BenchmarkPinned", "ns_per_op": 1000, "benchtime": "200x"}
+		{"name": "BenchmarkFast", "ns_per_op": 1000, "benchtime": "10x"},
+		{"name": "BenchmarkSlow", "ns_per_op": 1000, "benchtime": "10x"},
+		{"name": "BenchmarkPinned", "ns_per_op": 1000, "benchtime": "200x"},
+		{"name": "BenchmarkUntimed", "ns_per_op": 1000},
+		{"name": "BenchmarkTimed", "ns_per_op": 1000, "benchtime": "2s"}
 	]}`), 0o666); err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +83,20 @@ func TestRunVerdicts(t *testing.T) {
 	}
 	if msg := out.String(); !strings.Contains(msg, "ran 5 iterations") || !strings.Contains(msg, "200x") {
 		t.Errorf("benchtime failure does not name both counts:\n%s", msg)
+	}
+
+	// A compared entry without an "Nx" benchtime fails even at ratio
+	// 1: its recording's iteration count is unknown. A duration
+	// benchtime does not pin the count either.
+	for _, name := range []string{"BenchmarkUntimed", "BenchmarkTimed"} {
+		out.Reset()
+		code = run(baseline, 10, strings.NewReader(name+"-4 10 1000 ns/op\n"), &out)
+		if code != 1 {
+			t.Fatalf("%s run exited %d, want 1:\n%s", name, code, out.String())
+		}
+		if !strings.Contains(out.String(), "no \"Nx\" benchtime") {
+			t.Errorf("%s failure does not say the benchtime is missing:\n%s", name, out.String())
+		}
 	}
 
 	// Nothing matched: the guard must not silently pass.

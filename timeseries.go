@@ -27,8 +27,10 @@ type SeriesSpan = tsstore.Span
 
 // RetentionPolicy is a downsampling ladder — e.g. keep the last 8
 // epochs raw, then 4 epochs per window, then 16. The zero value
-// retains everything raw. Set it on [FleetServerConfig].Retention to
-// bound a long-lived ingest server's memory.
+// retains everything raw, as the ladder "1:0" does. A server always
+// rolls completed epochs into per-tenant series; set a folding ladder
+// on [FleetServerConfig].Retention to bound a long-lived ingest
+// server's memory.
 type RetentionPolicy = tsstore.Retention
 
 // RetentionLevel is one rung of a [RetentionPolicy].

@@ -10,8 +10,8 @@ import (
 
 // The fleet ingest layer: fleet.go turns runs into mergeable stored
 // profiles; this file moves them across machines. Serve runs an
-// ingest server that merges profiles into per-tenant/epoch
-// aggregators over a length-prefixed, CRC-checked wire protocol; Dial
+// ingest server that merges profiles into per-tenant epoch series
+// over a length-prefixed, CRC-checked wire protocol; Dial
 // returns the retrying client agents deliver with. The tier's
 // contract is exact accounting under failure: a profile is merged
 // exactly once if and only if its sender was told so, and every
@@ -22,11 +22,13 @@ import (
 // suite does.
 
 // FleetServer ingests stored profiles over the wire and merges them
-// into per-tenant, per-epoch aggregators with exact drop accounting.
+// into one epoch series per tenant with exact drop accounting.
 // Construct with [Serve].
 type FleetServer = fleetserver.Server
 
-// FleetServerConfig parameterizes [Serve]. The zero value is usable.
+// FleetServerConfig parameterizes [Serve]. The zero value is usable:
+// it rolls every completed epoch into its tenant's series and keeps
+// each as its own window (Retention empty, EpochLag 1).
 type FleetServerConfig = fleetserver.Config
 
 // FleetServerStats is a point-in-time view of a server's accounting:
