@@ -162,32 +162,36 @@ func TestDaemonSaveDirKeepsTenantsApart(t *testing.T) {
 		{"a/b", "a_2fb", 1},
 		{"a_b", "a_5fb", 3},
 	}
-	dir := t.TempDir()
-	addr, _, stderr, stop, exited := startDaemon(t, "-save-dir", dir)
-	sent := make([][]*hbbp.StoredProfile, len(tenants))
-	for i, tn := range tenants {
-		sent[i] = sendProfiles(t, addr, tn.name, "host-1", 3, tn.n)
-	}
-	stop()
-	if code := <-exited; code != 0 {
-		t.Fatalf("exit code = %d; stderr:\n%s", code, stderr.String())
-	}
-	for i, tn := range tenants {
-		series, err := hbbp.OpenSeries(filepath.Join(dir, tn.stem+".series"))
-		if err != nil {
-			t.Fatal(err)
+	// hbbpd saves one layout, DIR/<tenant>.series; the subtest keeps the
+	// case name it had beside the removed per-epoch layout.
+	t.Run("series", func(t *testing.T) {
+		dir := t.TempDir()
+		addr, _, stderr, stop, exited := startDaemon(t, "-save-dir", dir)
+		sent := make([][]*hbbp.StoredProfile, len(tenants))
+		for i, tn := range tenants {
+			sent[i] = sendProfiles(t, addr, tn.name, "host-1", 3, tn.n)
 		}
-		var got, want bytes.Buffer
-		if err := hbbp.SaveProfile(&got, series.Merged()); err != nil {
-			t.Fatal(err)
+		stop()
+		if code := <-exited; code != 0 {
+			t.Fatalf("exit code = %d; stderr:\n%s", code, stderr.String())
 		}
-		if err := hbbp.SaveProfile(&want, hbbp.MergeProfiles(sent[i]...)); err != nil {
-			t.Fatal(err)
+		for i, tn := range tenants {
+			series, err := hbbp.OpenSeries(filepath.Join(dir, tn.stem+".series"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, want bytes.Buffer
+			if err := hbbp.SaveProfile(&got, series.Merged()); err != nil {
+				t.Fatal(err)
+			}
+			if err := hbbp.SaveProfile(&want, hbbp.MergeProfiles(sent[i]...)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("tenant %q: saved %s diverges from the merge of its own profiles", tn.name, tn.stem)
+			}
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("tenant %q: saved %s diverges from the merge of its own profiles", tn.name, tn.stem)
-		}
-	}
+	})
 }
 
 // TestDaemonRefusesSavedSeriesDir pins the restart refusal: a second
